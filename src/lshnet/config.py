@@ -10,6 +10,7 @@ from typing import Optional
 
 from .autotune import AutotuneConfig
 from .errors import ConfigError
+from .layers import ACTIVATIONS
 from .training import TrainConfig
 
 
@@ -129,7 +130,7 @@ def parse_run_config(text: str) -> RunConfig:
     if len(values["model.activations"]) != n_layers:
         raise ConfigError("model.activations length must match layer count")
     for a in values["model.activations"]:
-        if a not in ("identity", "relu", "softmax"):
+        if a not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {a!r}")
     for s in values["model.sparsities"]:
         if not 0 < s <= 1:

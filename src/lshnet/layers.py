@@ -54,19 +54,25 @@ class ActiveSet:
 
 @dataclass
 class ForwardResult:
-    activations: SparseVector          # over d; entries at active ids, zeros kept
+    activations: SparseVector          # over d; one entry per active id, ReLU zeros included
     active: ActiveSet
     logits: np.ndarray                 # pre-activations aligned with active ids
+    output: SparseVector               # what the next layer reads: activations without ReLU zeros
     aln_record: Optional[tuple] = None  # (missed label ids, per-table codes)
 
 
 @dataclass
 class LayerGradients:
     active_ids: np.ndarray      # rows align with these ids
-    weight_grad: np.ndarray     # (n_active, nnz of input) outer-product block
     input_indices: np.ndarray   # columns of weight_grad within d_prev
-    bias_grad: np.ndarray       # (n_active,)
+    input_values: np.ndarray    # the layer input's values at input_indices
+    bias_grad: np.ndarray       # (n_active,); also the delta at each active id
     input_grad: SparseVector    # over d_prev
+
+    @property
+    def weight_grad(self) -> np.ndarray:
+        """(n_active, nnz of input) outer-product block, built on each read."""
+        return np.outer(self.bias_grad, self.input_values)
 
 
 class SparseLinearLayer:
@@ -148,7 +154,13 @@ class SparseLinearLayer:
         logits = self._project(input, ids)
         values = self._activate(logits)
         activations = SparseVector(self.dim, ids, values, _checked=True)
-        return ForwardResult(activations, ActiveSet(ids, flags), logits, aln_record)
+        output = activations
+        if self.activation == RELU:
+            # ReLU zeros add no signal downstream: the next layer neither
+            # hashes, gathers nor backpropagates over them
+            live = values > 0
+            output = SparseVector(self.dim, ids[live], values[live], _checked=True)
+        return ForwardResult(activations, ActiveSet(ids, flags), logits, output, aln_record)
 
     def _check_labels(self, labels) -> np.ndarray:
         if labels is None or len(labels) == 0:
@@ -202,30 +214,15 @@ class SparseLinearLayer:
             delta = np.where(act_at > 0, delta, 0.0)
         # identity and softmax: delta passes through unchanged
 
-        if input.nnz:
-            weight_grad = np.outer(delta, input.values)
-        else:
-            weight_grad = np.zeros((len(active), 0))
         rows = self.weights[active.ids]
         input_grad_dense = delta @ rows
         return LayerGradients(
             active_ids=active.ids,
-            weight_grad=weight_grad,
             input_indices=input.indices,
+            input_values=input.values,
             bias_grad=delta,
             input_grad=sparsify(input_grad_dense),
         )
-
-    # -- dense reference path ---------------------------------------------
-
-    def dense_reference_forward(self, input: SparseVector, labels=None) -> ForwardResult:
-        if labels is not None:
-            self._check_labels(labels)
-        return self.forward(input, DENSE_INFER)
-
-    def dense_reference_backward(self, input: SparseVector, activations: SparseVector,
-                                 active: ActiveSet, upstream: SparseVector) -> LayerGradients:
-        return self.backward(input, activations, active, upstream)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

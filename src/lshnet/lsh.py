@@ -185,17 +185,15 @@ class NeuronIndex:
         h = 0
         for c in codes:
             h = (h * 1000003 + c) & 0xFFFFFFFFFFFFFFFF
-        start = h % self.num_neurons
-        have = set(ids.tolist())
-        extra = []
-        i = start
-        while len(have) + len(extra) < min_count:
-            if i not in have:
-                extra.append(i)
-            i = (i + 1) % self.num_neurons
-        merged = np.concatenate([ids, np.asarray(extra, dtype=np.int64)])
+        d = self.num_neurons
+        # at most ids.size of the rotation's first min_count ids are held
+        candidates = (h % d + np.arange(min_count)) % d
+        held = np.zeros(d, dtype=bool)
+        held[ids] = True
+        extra = candidates[~held[candidates]][:min_count - ids.size]
+        merged = np.concatenate([ids, extra])
         order = np.argsort(merged)
-        padded = np.concatenate([np.zeros(ids.size, dtype=bool), np.ones(len(extra), dtype=bool)])
+        padded = np.concatenate([np.zeros(ids.size, dtype=bool), np.ones(extra.size, dtype=bool)])
         return merged[order], padded[order]
 
     # -- label insertion (sparse-inference support) ------------------------

@@ -70,7 +70,8 @@ class Model:
     def forward(self, input: SparseVector, mode: str, labels=None,
                 output_min_count: int | None = None) -> list[ForwardResult]:
         """Run the stack; labels (train mode) and output_min_count apply to
-        the output layer only."""
+        the output layer only. Each layer reads the previous layer's
+        `output`, which leaves out a ReLU's zeros."""
         results = []
         x = input
         last = len(self.layers) - 1
@@ -82,7 +83,7 @@ class Model:
                 res = layer.forward(x, mode,
                                     min_count=output_min_count if i == last else None)
             results.append(res)
-            x = res.activations
+            x = res.output
         return results
 
     def backward(self, input: SparseVector, results: list[ForwardResult],
@@ -92,7 +93,7 @@ class Model:
         out = results[-1]
         upstream = SparseVector(self.output_dim, out.active.ids, output_delta, _checked=True)
         for i in range(len(self.layers) - 1, -1, -1):
-            layer_input = input if i == 0 else results[i - 1].activations
+            layer_input = input if i == 0 else results[i - 1].output
             g = self.layers[i].backward(layer_input, results[i].activations,
                                         results[i].active, upstream)
             grads[i] = g

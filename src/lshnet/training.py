@@ -1,9 +1,11 @@
 """Batch training loop with lazy Adam, ALN bucket maintenance and sparse inference.
 
 The loop is phased per batch: per-sample forward/backward (parallelizable),
-then one exclusive update that applies Adam to the touched rows only, flushes
-queued label insertions into the LSH buckets, and periodically rebuilds the
-indexes from the drifted weights.
+then one exclusive update. For each layer that update concatenates the
+samples' active ids, takes their sorted union, reduces the batch to one
+weight-gradient GEMM over those rows (deltas x layer inputs) and applies Adam
+to those rows only. It then flushes queued label insertions into the LSH
+buckets and periodically rebuilds the indexes from the drifted weights.
 """
 
 from __future__ import annotations
@@ -100,18 +102,28 @@ class SparseAdamState:
         st = self.layers[layer_idx]
         layer = model.layers[layer_idx]
         b1, b2 = self.beta1, self.beta2
-        st.m_w[rows] = b1 * st.m_w[rows] + (1 - b1) * grad_w
-        st.v_w[rows] = b2 * st.v_w[rows] + (1 - b2) * grad_w**2
-        st.m_b[rows] = b1 * st.m_b[rows] + (1 - b1) * grad_b
-        st.v_b[rows] = b2 * st.v_b[rows] + (1 - b2) * grad_b**2
         c1 = 1 - b1**self.t
         c2 = 1 - b2**self.t
-        mw_hat = st.m_w[rows] / c1
-        vw_hat = st.v_w[rows] / c2
-        layer.weights[rows] -= self.lr * mw_hat / (np.sqrt(vw_hat) + self.eps)
-        mb_hat = st.m_b[rows] / c1
-        vb_hat = st.v_b[rows] / c2
-        layer.biases[rows] -= self.lr * mb_hat / (np.sqrt(vb_hat) + self.eps)
+        for m_all, v_all, params, g in ((st.m_w, st.v_w, layer.weights, grad_w),
+                                        (st.m_b, st.v_b, layer.biases, grad_b)):
+            # one gather and one scatter per array; the arithmetic runs in place
+            m = m_all[rows]
+            v = v_all[rows]
+            m *= b1
+            m += (1 - b1) * g
+            g2 = np.square(g)
+            g2 *= 1 - b2
+            v *= b2
+            v += g2
+            m_all[rows] = m
+            v_all[rows] = v
+            m /= c1
+            m *= self.lr
+            v /= c2
+            np.sqrt(v, out=v)
+            v += self.eps
+            m /= v
+            params[rows] -= m
         st.last_step[rows] = self.t
 
 
@@ -137,9 +149,6 @@ class Trainer:
         self.cfg = cfg
         self.state = SparseAdamState(model, cfg.lr)
         self._pool = None
-        # full-shape accumulation buffers; only touched rows are ever nonzero
-        self._grad_w = [np.zeros_like(l.weights) for l in model.layers]
-        self._grad_b = [np.zeros_like(l.biases) for l in model.layers]
 
     def train(self, dataset: XcDataset,
               checkpoint_hook=None) -> TrainReport:
@@ -201,10 +210,8 @@ class Trainer:
 
         total_loss = 0.0
         hits = 0
-        touched = [set() for _ in self.model.layers]
         aln_queue = []
-        # exclusive phase: fixed sample order keeps accumulation deterministic
-        for ex, (loss, results, grads) in pairs:
+        for ex, (loss, results, _grads) in pairs:
             total_loss += loss
             out = results[-1]
             if out.activations.nnz:
@@ -212,23 +219,14 @@ class Trainer:
                 hits += int(top in ex.labels)
             if cfg.aln_enabled and out.aln_record is not None:
                 aln_queue.append(out.aln_record)
-            for li, g in enumerate(grads):
-                if g.input_indices.size:
-                    self._grad_w[li][np.ix_(g.active_ids, g.input_indices)] += g.weight_grad
-                self._grad_b[li][g.active_ids] += g.bias_grad
-                touched[li].update(g.active_ids.tolist())
 
         n = len(samples)
         self.state.t += 1
-        for li in range(len(self.model.layers)):
-            rows = np.asarray(sorted(touched[li]), dtype=np.int64)
-            if rows.size == 0:
-                continue
-            gw = self._grad_w[li][rows] / n
-            gb = self._grad_b[li][rows] / n
-            self.state.update_rows(self.model, li, rows, gw, gb)
-            self._grad_w[li][rows] = 0.0
-            self._grad_b[li][rows] = 0.0
+        # fixed sample order keeps the batch reduction deterministic
+        for li, layer in enumerate(self.model.layers):
+            rows, gw, gb = _batch_gradient([g[li] for _, (_, _, g) in pairs], layer.prev_dim)
+            if rows.size:
+                self.state.update_rows(self.model, li, rows, gw, gb)
 
         # flush queued label insertions into the output-layer buckets
         out_layer = self.model.layers[-1]
@@ -241,6 +239,30 @@ class Trainer:
                 if layer.index is not None:
                     layer.index.rebuild(layer.weights)
         return total_loss / n, hits
+
+
+def _batch_gradient(grads: list, prev_dim: int):
+    """Average one layer's per-sample gradients over the union of their active rows.
+
+    Returns (rows, grad_w, grad_b): the sorted union of active ids and the
+    batch-mean weight and bias gradients at those rows. Sample i's deltas fill row
+    i of an (n, |rows|) matrix and its input fills row i of an (n, prev_dim)
+    matrix, so the weight gradient is one GEMM. Each sample's active ids are
+    distinct, so one scatter fills each matrix.
+    """
+    n = len(grads)
+    ids = np.concatenate([g.active_ids for g in grads])
+    rows, col = np.unique(ids, return_inverse=True)
+    delta = np.zeros((n, rows.size))
+    delta[np.repeat(np.arange(n), [g.active_ids.size for g in grads]), col] = \
+        np.concatenate([g.bias_grad for g in grads])
+    x = np.zeros((n, prev_dim))
+    x[np.repeat(np.arange(n), [g.input_indices.size for g in grads]),
+      np.concatenate([g.input_indices for g in grads])] = \
+        np.concatenate([g.input_values for g in grads])
+    grad_w = delta.T @ x
+    grad_w /= n
+    return rows, grad_w, delta.sum(axis=0) / n
 
 
 def train(model: Model, dataset: XcDataset, cfg: TrainConfig,

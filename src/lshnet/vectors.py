@@ -1,9 +1,10 @@
 """Sparse and dense vector value types.
 
 SparseVector keeps explicit (index, value) entries with strictly increasing
-indices. Arithmetic never drops exact zeros; only sparsify() does, so the
-number of stored entries always equals the number of explicitly computed
-activations.
+indices. Nothing here drops exact zeros except sparsify(). A layer's
+activations keep one entry per active neuron, zeros included, but the vector
+a ReLU layer passes on to the next layer holds only its positive entries
+(ForwardResult.output).
 """
 
 from __future__ import annotations

@@ -125,6 +125,41 @@ def test_query_pads_to_min_count():
     assert padded.all()  # empty index: everything is fallback
 
 
+def loop_pad(ix, ids, codes, min_count):
+    """The round-robin padding loop the vectorised _pad replaced."""
+    h = 0
+    for c in codes:
+        h = (h * 1000003 + c) & 0xFFFFFFFFFFFFFFFF
+    have = set(ids.tolist())
+    extra = []
+    i = h % ix.num_neurons
+    while len(have) + len(extra) < min_count:
+        if i not in have:
+            extra.append(i)
+        i = (i + 1) % ix.num_neurons
+    merged = np.concatenate([ids, np.asarray(extra, dtype=np.int64)])
+    padded = np.concatenate([np.zeros(ids.size, dtype=bool), np.ones(len(extra), dtype=bool)])
+    order = np.argsort(merged)
+    return merged[order], padded[order]
+
+
+def test_pad_matches_round_robin_loop():
+    d = 300
+    rng = np.random.default_rng(31)
+    w = rng.standard_normal((d, 16))
+    ix = build_index(w, make_plan(4, 6, 20, d, 16), seed=32)
+    for trial in range(40):
+        x = sparsify(rng.standard_normal(16))
+        codes = [t.hasher.hash(x) for t in ix.tables]
+        held = rng.choice(d, size=int(rng.integers(0, 60)), replace=False)
+        ids = np.sort(held).astype(np.int64)
+        min_count = d if trial % 4 == 0 else int(rng.integers(ids.size + 1, d + 1))
+        got_ids, got_padded = ix._pad(ids, codes, min_count)
+        want_ids, want_padded = loop_pad(ix, ids, codes, min_count)
+        assert got_ids.tolist() == want_ids.tolist()
+        assert got_padded.tolist() == want_padded.tolist()
+
+
 def test_query_truncates_by_multiplicity():
     d_prev = 6
     tables = [HashTable.empty(SrpHasher(1, d_prev, seed=s), cap=100) for s in (1, 2, 3)]

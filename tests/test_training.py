@@ -227,6 +227,73 @@ def _dense(v):
     return out
 
 
+def deep_toy(seed=21):
+    ds = synth_clustered(40, 2, 64, 0.1, seed=seed)
+    model = Model.create([64, 32, 400], [1.0, 0.05], [RELU, SOFTMAX], seed=seed)
+    return ds, model
+
+
+def test_batch_gradient_equals_sum_of_per_sample_blocks():
+    ds, model = deep_toy()
+    batch = ds.examples[:24]
+    # per-sample reference, taken before the batch changes any weight
+    ref_w = [np.zeros_like(l.weights) for l in model.layers]
+    ref_b = [np.zeros_like(l.biases) for l in model.layers]
+    union = [set() for _ in model.layers]
+    for ex in batch:
+        _, _, grads = model.train_step_grads(ex.features, ex.labels)
+        for li, g in enumerate(grads):
+            ref_w[li][np.ix_(g.active_ids, g.input_indices)] += np.outer(g.bias_grad, g.input_values)
+            ref_b[li][g.active_ids] += g.bias_grad
+            union[li].update(g.active_ids.tolist())
+
+    calls = []
+    trainer = Trainer(model, TrainConfig(batch_size=len(batch), epochs=1, seed=22))
+    update_rows = trainer.state.update_rows
+
+    def spy(model_, li, rows, gw, gb):
+        calls.append((li, rows.copy(), gw.copy(), gb.copy()))
+        update_rows(model_, li, rows, gw, gb)
+
+    trainer.state.update_rows = spy
+    ds.examples = batch
+    ds.num_points = len(batch)
+    trainer.train(ds)
+
+    assert [c[0] for c in calls] == [0, 1]
+    n = len(batch)
+    for li, rows, gw, gb in calls:
+        assert rows.tolist() == sorted(union[li])
+        np.testing.assert_allclose(gw * n, ref_w[li][rows], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_w[li]).max())
+        np.testing.assert_allclose(gb * n, ref_b[li][rows], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_b[li]).max())
+
+
+def test_relu_output_drops_zeros_and_backward_masks():
+    ds, model = deep_toy(seed=23)
+    hidden, out_layer = model.layers
+    checked = 0
+    for ex in ds.examples[:20]:
+        loss, results, grads = model.train_step_grads(ex.features, ex.labels)
+        h, o = results
+        # the layer's own activations stay aligned with its active set
+        assert np.array_equal(h.activations.indices, h.active.ids)
+        dead = h.activations.values == 0
+        if not dead.any():
+            continue
+        checked += 1
+        assert np.all(h.output.values > 0)
+        assert np.array_equal(h.output.indices, h.activations.indices[~dead])
+        # the output layer read and backpropagated over the positive entries only
+        assert np.array_equal(grads[1].input_indices, h.output.indices)
+        upstream = grads[1].bias_grad @ out_layer.weights[o.active.ids]
+        expected = np.where(h.activations.values > 0, upstream[h.active.ids], 0.0)
+        np.testing.assert_allclose(grads[0].bias_grad, expected, rtol=1e-12, atol=1e-15)
+        assert np.all(grads[0].bias_grad[dead] == 0.0)
+    assert checked > 0
+
+
 def test_aln_flush_respects_cap():
     ds, model = sparse_toy(seed=16)
     cfg = TrainConfig(batch_size=32, epochs=1, lr=0.01, seed=17,
