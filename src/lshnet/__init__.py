@@ -18,7 +18,7 @@ from .layers import (
     SparseLinearLayer,
     softmax_ce_loss_grad,
 )
-from .lsh import NeuronIndex, SrpHasher, build_index
+from .lsh import NeuronIndex, SrpHasher
 from .model import Model
 from .training import (
     SparseAdamState,

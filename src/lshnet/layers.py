@@ -183,7 +183,11 @@ class SparseLinearLayer:
     def _project(self, input: SparseVector, ids: np.ndarray) -> np.ndarray:
         if input.nnz == 0:
             return self.biases[ids].copy()
-        block = self.weights[np.ix_(ids, input.indices)]
+        # the same C-contiguous block as weights[np.ix_(ids, input.indices)],
+        # so the product is bit-identical; sorted distinct ids of size d are all rows
+        block = self.weights if ids.size == self.dim else np.take(self.weights, ids, 0)
+        if input.nnz < self.prev_dim:
+            block = block.take(input.indices, 1)
         return block @ input.values + self.biases[ids]
 
     def _activate(self, logits: np.ndarray) -> np.ndarray:

@@ -34,6 +34,22 @@ def test_forward_hand_example_restricted():
     assert np.maximum(logits, 0).tolist() == [2.0, 1.0]
 
 
+def test_project_equals_ix_block_bit_for_bit():
+    rng = np.random.default_rng(21)
+    d, d_prev = 300, 40
+    layer = SparseLinearLayer(rng.standard_normal((d, d_prev)), rng.standard_normal(d), 1.0, IDENTITY)
+    all_ids = np.arange(d)
+    for trial in range(30):
+        x = rng.standard_normal(d_prev)
+        if trial % 3:
+            x[rng.random(d_prev) < 0.6] = 0.0  # sparse input; else dense
+        v = sparsify(x)
+        some = np.sort(rng.choice(d, size=int(rng.integers(1, d)), replace=False))
+        for ids in (some, all_ids):
+            want = layer.weights[np.ix_(ids, v.indices)] @ v.values + layer.biases[ids]
+            assert np.array_equal(layer._project(v, ids), want)
+
+
 def test_forward_dense_hand_example():
     layer = hand_layer(RELU)
     res = layer.forward(sparsify([2.0, -1.0]), DENSE_INFER)

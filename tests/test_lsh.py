@@ -1,12 +1,16 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lshnet.autotune import AutotuneConfig, AutotunePlan
 from lshnet.errors import DimensionError
-from lshnet.lsh import HashTable, NeuronIndex, SrpHasher, build_index
+from lshnet.layers import SOFTMAX, TRAIN, SparseLinearLayer
+from lshnet.lsh import NeuronIndex, SrpHasher
 from lshnet.vectors import SparseVector, sparsify
 
 
@@ -55,7 +59,7 @@ def test_hash_dimension_mismatch():
 
 def test_build_single_neuron():
     w = np.random.default_rng(0).standard_normal((1, 8))
-    ix = build_index(w, make_plan(3, 4, 10, 1, 8), seed=5)
+    ix = NeuronIndex.build(w, make_plan(3, 4, 10, 1, 8), seed=5)
     for table in ix.tables:
         occupied = [b for b in table.buckets if b]
         assert occupied == [[0]]
@@ -63,7 +67,7 @@ def test_build_single_neuron():
 
 def test_build_identical_rows_one_bucket():
     w = np.tile(np.random.default_rng(1).standard_normal(8), (4, 1))
-    ix = build_index(w, make_plan(3, 2, 10, 4, 8), seed=5)
+    ix = NeuronIndex.build(w, make_plan(3, 2, 10, 4, 8), seed=5)
     for table in ix.tables:
         occupied = [b for b in table.buckets if b]
         assert len(occupied) == 1
@@ -72,7 +76,7 @@ def test_build_identical_rows_one_bucket():
 
 def test_build_identical_rows_capped():
     w = np.tile(np.random.default_rng(1).standard_normal(8), (4, 1))
-    ix = build_index(w, make_plan(3, 2, 2, 4, 8), seed=5)
+    ix = NeuronIndex.build(w, make_plan(3, 2, 2, 4, 8), seed=5)
     for table in ix.tables:
         occupied = [b for b in table.buckets if b]
         assert len(occupied) == 1
@@ -82,7 +86,7 @@ def test_build_identical_rows_capped():
 def test_mean_occupancy_matches_expectation():
     d, k = 1000, 4
     w = np.random.default_rng(7).standard_normal((d, 32))
-    ix = build_index(w, make_plan(k, 8, 2000, d, 32), seed=9)
+    ix = NeuronIndex.build(w, make_plan(k, 8, 2000, d, 32), seed=9)
     expected = d / 2**k
     for table in ix.tables:
         sizes = [len(b) for b in table.buckets if b]
@@ -92,7 +96,7 @@ def test_mean_occupancy_matches_expectation():
 
 def test_query_single_neuron_index():
     w = np.random.default_rng(0).standard_normal((1, 8))
-    ix = build_index(w, make_plan(3, 4, 10, 1, 8), seed=5)
+    ix = NeuronIndex.build(w, make_plan(3, 4, 10, 1, 8), seed=5)
     for seed in range(5):
         x = sparsify(np.random.default_rng(seed).standard_normal(8))
         ids, padded, _ = ix.query(x, 1)
@@ -101,13 +105,16 @@ def test_query_single_neuron_index():
 
 def test_query_unions_selected_buckets():
     d_prev = 6
-    tables = [HashTable.empty(SrpHasher(2, d_prev, seed=s), cap=10) for s in (1, 2)]
-    ix = NeuronIndex(tables, num_neurons=4, seed=0)
+    hashers = [SrpHasher(2, d_prev, seed=s) for s in (1, 2)]
+    ix = NeuronIndex(hashers, cap=10, num_neurons=4, seed=0)
     x = sparsify(np.random.default_rng(0).standard_normal(d_prev))
-    c0 = tables[0].hasher.hash(x)
-    c1 = tables[1].hasher.hash(x)
-    tables[0].buckets[c0] = [1, 2]
-    tables[1].buckets[c1] = [2, 3]
+    c0 = hashers[0].hash(x)
+    c1 = hashers[1].hash(x)
+    # the other table gets a bucket the query does not select
+    ix.insert_labels([1, 2], [c0, c1 ^ 1])
+    ix.insert_labels([2, 3], [c0 ^ 1, c1])
+    assert ix.tables[0].buckets[c0] == [1, 2]
+    assert ix.tables[1].buckets[c1] == [2, 3]
     ids, padded, codes = ix.query(x, 3)
     assert ids.tolist() == [1, 2, 3]
     assert not padded.any()
@@ -116,8 +123,7 @@ def test_query_unions_selected_buckets():
 
 def test_query_pads_to_min_count():
     d_prev = 6
-    tables = [HashTable.empty(SrpHasher(2, d_prev, seed=1), cap=10)]
-    ix = NeuronIndex(tables, num_neurons=10, seed=0)
+    ix = NeuronIndex([SrpHasher(2, d_prev, seed=1)], cap=10, num_neurons=10, seed=0)
     x = sparsify(np.random.default_rng(1).standard_normal(d_prev))
     ids, padded, _ = ix.query(x, 4)
     assert ids.size == 4
@@ -147,7 +153,7 @@ def test_pad_matches_round_robin_loop():
     d = 300
     rng = np.random.default_rng(31)
     w = rng.standard_normal((d, 16))
-    ix = build_index(w, make_plan(4, 6, 20, d, 16), seed=32)
+    ix = NeuronIndex.build(w, make_plan(4, 6, 20, d, 16), seed=32)
     for trial in range(40):
         x = sparsify(rng.standard_normal(16))
         codes = [t.hasher.hash(x) for t in ix.tables]
@@ -162,14 +168,13 @@ def test_pad_matches_round_robin_loop():
 
 def test_query_truncates_by_multiplicity():
     d_prev = 6
-    tables = [HashTable.empty(SrpHasher(1, d_prev, seed=s), cap=100) for s in (1, 2, 3)]
-    ix = NeuronIndex(tables, num_neurons=100, seed=0)
+    hashers = [SrpHasher(1, d_prev, seed=s) for s in (1, 2, 3)]
+    ix = NeuronIndex(hashers, cap=100, num_neurons=100, seed=0)
     x = sparsify(np.ones(d_prev))
-    codes = [t.hasher.hash(x) for t in tables]
+    codes = [h.hash(x) for h in hashers]
     # neuron 7 collides in all three tables, the rest in one
-    for t, c in zip(tables, codes):
-        t.buckets[c] = [7]
-    tables[0].buckets[codes[0]].extend(range(10))
+    ix.insert_labels([7], codes)
+    ix.insert_labels(range(10), [codes[0], codes[1] ^ 1, codes[2] ^ 1])
     ids, _, _ = ix.query(x, 1)  # budget = 4
     assert ids.size == 4
     assert 7 in ids.tolist()
@@ -184,7 +189,7 @@ def test_query_recall_of_matching_row():
     for seed in range(40):
         w = rng.standard_normal((d, d_prev))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
-        ix = build_index(w, make_plan(4, 8, 50, d, d_prev), seed=seed)
+        ix = NeuronIndex.build(w, make_plan(4, 8, 50, d, d_prev), seed=seed)
         ids, _, _ = ix.query(sparsify(w[5]), 1)
         hits_true += 5 in ids.tolist()
         hits_other += 17 in ids.tolist()
@@ -194,7 +199,7 @@ def test_query_recall_of_matching_row():
 def test_query_union_monotone_over_table_prefix():
     d, d_prev = 200, 16
     w = np.random.default_rng(2).standard_normal((d, d_prev))
-    ix = build_index(w, make_plan(4, 6, 100, d, d_prev), seed=3)
+    ix = NeuronIndex.build(w, make_plan(4, 6, 100, d, d_prev), seed=3)
     x = sparsify(np.random.default_rng(4).standard_normal(d_prev))
     codes = [t.hasher.hash(x) for t in ix.tables]
     union = set()
@@ -207,8 +212,8 @@ def test_query_union_monotone_over_table_prefix():
 
 def test_insert_labels_append_dedup_cap():
     d_prev = 8
-    tables = [HashTable.empty(SrpHasher(2, d_prev, seed=1), cap=3)]
-    ix = NeuronIndex(tables, num_neurons=50, seed=0)
+    ix = NeuronIndex([SrpHasher(2, d_prev, seed=1)], cap=3, num_neurons=50, seed=0)
+    tables = ix.tables
     ix.insert_labels([7], [2])
     assert tables[0].buckets[2] == [7]
     ix.insert_labels([7], [2])  # duplicate: unchanged
@@ -225,7 +230,7 @@ def test_cap_invariant_after_interleaving():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((d, d_prev))
     plan = make_plan(3, 4, 20, d, d_prev)
-    ix = build_index(w, plan, seed=6)
+    ix = NeuronIndex.build(w, plan, seed=6)
     for step in range(20):
         labels = rng.integers(0, d, size=3).tolist()
         codes = [int(rng.integers(0, 8)) for _ in ix.tables]
@@ -240,8 +245,8 @@ def test_build_deterministic():
     d, d_prev = 100, 16
     w = np.random.default_rng(8).standard_normal((d, d_prev))
     plan = make_plan(4, 5, 8, d, d_prev)
-    a = build_index(w, plan, seed=1)
-    b = build_index(w, plan, seed=1)
+    a = NeuronIndex.build(w, plan, seed=1)
+    b = NeuronIndex.build(w, plan, seed=1)
     for ta, tb in zip(a.tables, b.tables):
         assert ta.buckets == tb.buckets
         assert ta.hasher.seed == tb.hasher.seed
@@ -251,7 +256,7 @@ def test_rebuild_reproduces_build():
     d, d_prev = 100, 16
     w = np.random.default_rng(8).standard_normal((d, d_prev))
     plan = make_plan(4, 5, 8, d, d_prev)
-    ix = build_index(w, plan, seed=1)
+    ix = NeuronIndex.build(w, plan, seed=1)
     before = [list(map(list, t.buckets)) for t in ix.tables]
     ix.insert_labels([3], [0] * len(ix.tables))  # discarded on rebuild
     ix.rebuild(w)
@@ -263,7 +268,7 @@ def test_rebuild_zero_weights_all_in_bucket_zero():
     d, d_prev = 30, 8
     w = np.random.default_rng(1).standard_normal((d, d_prev))
     plan = make_plan(3, 2, 100, d, d_prev)
-    ix = build_index(w, plan, seed=2)
+    ix = NeuronIndex.build(w, plan, seed=2)
     ix.rebuild(np.zeros((d, d_prev)))
     for table in ix.tables:
         assert sorted(table.buckets[0]) == list(range(d))
@@ -274,7 +279,7 @@ def test_serialization_round_trip():
     d, d_prev = 120, 16
     w = np.random.default_rng(10).standard_normal((d, d_prev))
     plan = make_plan(4, 3, 10, d, d_prev)
-    ix = build_index(w, plan, seed=77)
+    ix = NeuronIndex.build(w, plan, seed=77)
     buf = io.BytesIO()
     ix.save(buf)
     assert buf.getvalue()[:4] == b"LSHI"
@@ -301,3 +306,235 @@ def test_collision_law_small():
         v = np.array([math.cos(theta), math.sin(theta)])
         agree = np.mean((proj @ u > 0) == (proj @ v > 0))
         assert abs(agree - (1 - theta / math.pi)) < 0.03
+
+
+# -- exactness of the array store against the list-of-lists loops it replaced --
+
+
+def loop_reservoir(ids, cap, rng):
+    """Algorithm R over ids in insertion order; mutates rng."""
+    if len(ids) <= cap:
+        return ids
+    kept = ids[:cap]
+    for i in range(cap, len(ids)):
+        j = int(rng.integers(0, i + 1))
+        if j < cap:
+            kept[j] = ids[i]
+    return kept
+
+
+def loop_fill(hashers, cap, weights, rng):
+    """The per-bucket reservoir loop the one-draw build replaced."""
+    d = weights.shape[0]
+    tables = []
+    for h in hashers:
+        buckets = [[] for _ in range(2**h.k_bits)]
+        codes = h.hash_rows(weights)
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        starts = np.searchsorted(sorted_codes, np.arange(2**h.k_bits))
+        ends = np.append(starts[1:], d)
+        for code in np.unique(sorted_codes):
+            buckets[code] = loop_reservoir(order[starts[code]:ends[code]].tolist(), cap, rng)
+        tables.append(buckets)
+    return tables
+
+
+def loop_insert(tables, cap, label_ids, codes, rng):
+    """The list-based label insertion: table by table, label by label."""
+    for buckets, code in zip(tables, codes):
+        bucket = buckets[code]
+        for label in label_ids:
+            label = int(label)
+            if label in bucket:
+                continue
+            if len(bucket) < cap:
+                bucket.append(label)
+            else:
+                bucket[int(rng.integers(0, cap))] = label
+
+
+def loop_save(ix):
+    """Model format v1 written from list buckets, as before the array store."""
+    buf = io.BytesIO()
+    h0 = ix.hashers[0]
+    buf.write(b"LSHI")
+    buf.write(struct.pack("<IIIIIIq", 1, h0.k_bits, len(ix.hashers), ix.cap,
+                          ix.num_neurons, h0.input_dim, ix.seed))
+    for h in ix.hashers:
+        buf.write(struct.pack("<Q", h.seed))
+    for table in ix.tables:
+        occupied = [(c, b) for c, b in enumerate(table.buckets) if b]
+        buf.write(struct.pack("<I", len(occupied)))
+        for code, bucket in occupied:
+            buf.write(struct.pack("<II", code, len(bucket)))
+            buf.write(np.asarray(bucket, dtype="<u4").tobytes())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cap", [20, 400])
+def test_build_insert_rebuild_match_list_loops(cap):
+    # 2,000 ids over 16 buckets: at cap 20 every bucket overflows many times
+    # over; at cap 400 none does and inserts grow the slot width
+    d, d_prev, k, l = 2000, 16, 4, 6
+    rng = np.random.default_rng(41)
+    w = rng.standard_normal((d, d_prev)) + np.linspace(-1, 1, d_prev)
+    ix = NeuronIndex.build(w, make_plan(k, l, cap, d, d_prev), seed=42)
+    loop_rng = np.random.default_rng(42)
+    want = loop_fill(ix.hashers, cap, w, loop_rng)
+    assert [t.buckets for t in ix.tables] == want
+    assert ix._rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
+    for step in range(40):
+        labels = rng.choice(d, size=1 + step % 3, replace=False)
+        codes = rng.integers(0, 2**k, size=l).tolist()
+        ix.insert_labels(labels, codes)
+        loop_insert(want, cap, labels, codes, loop_rng)
+    assert [t.buckets for t in ix.tables] == want
+    assert ix._rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
+    w2 = w + 0.5 * rng.standard_normal(w.shape)
+    ix.rebuild(w2)
+    loop_rng = np.random.default_rng(42)
+    assert [t.buckets for t in ix.tables] == loop_fill(ix.hashers, cap, w2, loop_rng)
+    assert ix._rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
+
+
+def test_insert_labels_matches_list_loop():
+    # eight labels over 4-slot buckets: lists with repeats fill buckets part
+    # way through, and evictions drop labels that come again later in a list
+    l, cap = 5, 4
+    ix = NeuronIndex([SrpHasher(2, 8, seed=s) for s in range(l)], cap=cap,
+                     num_neurons=8, seed=47)
+    want = [[[] for _ in range(4)] for _ in range(l)]
+    loop_rng = np.random.default_rng(47)
+    rng = np.random.default_rng(48)
+    for step in range(300):
+        labels = rng.integers(0, 8, size=int(rng.integers(1, 6))).tolist()
+        codes = rng.integers(0, 4, size=l).tolist()
+        ix.insert_labels(labels, codes)
+        loop_insert(want, cap, labels, codes, loop_rng)
+        assert [t.buckets for t in ix.tables] == want, step
+    assert ix._rng.integers(0, 2**62) == loop_rng.integers(0, 2**62)
+
+
+def test_save_load_save_byte_identical():
+    d, d_prev, k, l = 1500, 16, 5, 7
+    rng = np.random.default_rng(43)
+    w = rng.standard_normal((d, d_prev))
+    ix = NeuronIndex.build(w, make_plan(k, l, 30, d, d_prev), seed=44)
+    for stage in ("fresh", "after inserts"):
+        stream = io.BytesIO()
+        ix.save(stream)
+        assert stream.getvalue() == loop_save(ix), stage
+        stream.write(b"next")
+        stream.seek(0)
+        again = NeuronIndex.load(stream)
+        assert stream.read() == b"next", stage  # the load stops at the index's end
+        out = io.BytesIO()
+        again.save(out)
+        assert out.getvalue() + b"next" == stream.getvalue(), stage
+        for _ in range(60):
+            ix.insert_labels(rng.choice(d, size=2, replace=False),
+                             rng.integers(0, 2**k, size=l).tolist())
+
+
+def test_load_rejects_truncated_stream():
+    w = np.random.default_rng(45).standard_normal((200, 8))
+    buf = io.BytesIO()
+    NeuronIndex.build(w, make_plan(3, 4, 10, 200, 8), seed=46).save(buf)
+    for cut in (30, buf.tell() - 5):
+        with pytest.raises(ValueError):
+            NeuronIndex.load(io.BytesIO(buf.getvalue()[:cut]))
+
+
+class SmallReads(io.BytesIO):
+    """A stream that fails any read larger than 1 MB."""
+
+    def read(self, n=-1):
+        assert 0 <= n <= 1 << 20, n
+        return super().read(n)
+
+
+@pytest.mark.parametrize("field", ["id", "code", "count", "code order"])
+def test_load_rejects_corrupt_record(field):
+    d, k = 200, 3
+    w = np.random.default_rng(45).standard_normal((d, 8))
+    buf = io.BytesIO()
+    NeuronIndex.build(w, make_plan(k, 4, 10, d, 8), seed=46).save(buf)
+    data = bytearray(buf.getvalue())
+    # the first table's first record follows the header, 4 seeds and its bucket count
+    code_at = 4 + 32 + 8 * 4 + 4
+    code, count = struct.unpack_from("<II", data, code_at)
+    last_at = code_at  # the table's last record, whose code no later one bounds
+    for _ in range(struct.unpack_from("<I", data, code_at - 4)[0] - 1):
+        last_at += 8 + 4 * struct.unpack_from("<I", data, last_at + 4)[0]
+    at, word = {
+        "id": (code_at + 8, d),
+        "code": (last_at, 2**k),
+        "count": (code_at + 4, 0xFFFFFFFF),  # refused before its ids are read
+        "code order": (code_at + 8 + 4 * count, code),
+    }[field]
+    struct.pack_into("<I", data, at, word)
+    with pytest.raises(ValueError, match="corrupt"):
+        NeuronIndex.load(SmallReads(bytes(data)))
+
+
+def test_query_codes_equal_per_table_hashes():
+    d, d_prev = 400, 24
+    rng = np.random.default_rng(47)
+    ix = NeuronIndex.build(rng.standard_normal((d, d_prev)), make_plan(6, 9, 30, d, d_prev), seed=48)
+    for trial in range(60):
+        x = rng.standard_normal(d_prev)  # dense
+        if trial % 4 == 1:
+            x[rng.random(d_prev) < 0.7] = 0.0
+        elif trial % 4 == 2:
+            x[:] = 0.0
+        v = sparsify(x)
+        _, _, codes = ix.query(v, 20)
+        assert codes == [t.hasher.hash(v) for t in ix.tables]
+
+
+# -- sampler invariants under interleaved query, insert, rebuild and training --
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.sampled_from(["query", "insert", "rebuild", "train"]),
+                    min_size=1, max_size=25))
+def test_sampler_invariants_under_interleaving(seed, ops):
+    rng = np.random.default_rng(seed)
+    d, d_prev = 120, 8
+    k, l, cap = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 12))
+    w = rng.standard_normal((d, d_prev))
+    ix = NeuronIndex.build(w, make_plan(k, l, cap, d, d_prev), seed=seed)
+    layer = SparseLinearLayer(w, np.zeros(d), 0.05, SOFTMAX, index=ix)
+
+    def sample():
+        x = rng.standard_normal(d_prev)
+        x[rng.random(d_prev) < 0.4] = 0.0
+        return sparsify(x)
+
+    for op in ops:
+        if op == "query":
+            min_count = int(rng.integers(1, d + 1))
+            ids, padded, codes = ix.query(sample(), min_count)
+            assert ids.size >= min_count and padded.size == ids.size
+            assert np.all(np.diff(ids) > 0)
+            assert len(codes) == l and all(0 <= c < 2**k for c in codes)
+        elif op == "insert":
+            ix.insert_labels(rng.choice(d, size=int(rng.integers(1, 4)), replace=False),
+                             rng.integers(0, 2**k, size=l).tolist())
+        elif op == "rebuild":
+            layer.weights += 0.3 * rng.standard_normal(w.shape)
+            ix.rebuild(layer.weights)
+        else:
+            labels = rng.choice(d, size=int(rng.integers(1, 3)), replace=False)
+            res = layer.forward(sample(), TRAIN, labels)
+            assert set(labels.tolist()) <= set(res.active.ids.tolist())
+            assert np.all(np.diff(res.active.ids) > 0)
+            if res.aln_record is not None:
+                ix.insert_labels(*res.aln_record)
+        assert np.all((ix.fill >= 0) & (ix.fill <= cap))
+        for table in ix.tables:
+            for bucket in table.buckets:
+                assert len(set(bucket)) == len(bucket)
+                assert all(0 <= i < d for i in bucket)
