@@ -37,6 +37,10 @@ class CountMismatch(DataError):
     pass
 
 
+class MalformedLine(DataError):
+    """A label or feature token that does not parse, or a non-finite value."""
+
+
 @dataclass
 class Example:
     labels: list[int]           # nonempty, sorted, distinct
@@ -78,7 +82,10 @@ def parse_xc(stream, index_base: int = 0) -> XcDataset:
         label_field = fields[0]
         if ":" in label_field:
             raise EmptyLabelSet(f"line {lineno}: no label field")
-        labels = sorted({int(t) - index_base for t in label_field.split(",") if t != ""})
+        try:
+            labels = sorted({int(t) - index_base for t in label_field.split(",") if t != ""})
+        except ValueError:
+            raise MalformedLine(f"line {lineno}: bad label field {label_field!r}") from None
         if not labels:
             raise EmptyLabelSet(f"line {lineno}: empty label set")
         if labels[0] < 0 or labels[-1] >= num_labels:
@@ -87,13 +94,20 @@ def parse_xc(stream, index_base: int = 0) -> XcDataset:
         val = []
         for tok in fields[1:]:
             i_str, _, v_str = tok.partition(":")
-            i = int(i_str) - index_base
+            try:
+                i = int(i_str) - index_base
+                v = float(v_str)
+            except ValueError:
+                raise MalformedLine(f"line {lineno}: bad feature {tok!r}, "
+                                    "expected index:value") from None
             if i < 0 or i >= num_features:
                 raise FeatureOutOfRange(f"line {lineno}: feature index outside [0, {num_features})")
             idx.append(i)
-            val.append(float(v_str))
+            val.append(v)
         idx = np.asarray(idx, dtype=np.int64)
         val = np.asarray(val, dtype=np.float64)
+        if not np.isfinite(val).all():
+            raise MalformedLine(f"line {lineno}: non-finite feature value")
         if idx.size and np.any(np.diff(idx) <= 0):
             order = np.argsort(idx, kind="stable")
             idx, val = idx[order], val[order]

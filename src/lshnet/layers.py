@@ -67,7 +67,7 @@ class LayerGradients:
     input_indices: np.ndarray   # columns of weight_grad within d_prev
     input_values: np.ndarray    # the layer input's values at input_indices
     bias_grad: np.ndarray       # (n_active,); also the delta at each active id
-    input_grad: SparseVector    # over d_prev
+    input_grad: Optional[SparseVector]  # over d_prev; None when not asked for
 
     @property
     def weight_grad(self) -> np.ndarray:
@@ -200,12 +200,16 @@ class SparseLinearLayer:
     # -- backward ----------------------------------------------------------
 
     def backward(self, input: SparseVector, activations: SparseVector,
-                 active: ActiveSet, upstream: SparseVector) -> LayerGradients:
+                 active: ActiveSet, upstream: SparseVector,
+                 with_input_grad: bool = True) -> LayerGradients:
         """Gradients restricted to the active set.
 
         For identity/relu the upstream vector is dL/d(activation); for the
         softmax activation the caller passes the combined softmax-CE gradient
-        with respect to the logits (from softmax_ce_loss_grad).
+        with respect to the logits (from softmax_ce_loss_grad). With
+        with_input_grad=False the input gradient is not computed and is None;
+        Model.backward passes that for the first layer, whose input gradient
+        nothing reads.
         """
         if upstream.dim != self.dim:
             raise DimensionError("upstream dim mismatch")
@@ -218,14 +222,15 @@ class SparseLinearLayer:
             delta = np.where(act_at > 0, delta, 0.0)
         # identity and softmax: delta passes through unchanged
 
-        rows = self.weights[active.ids]
-        input_grad_dense = delta @ rows
+        input_grad = None
+        if with_input_grad:
+            input_grad = sparsify(delta @ self.weights[active.ids])
         return LayerGradients(
             active_ids=active.ids,
             input_indices=input.indices,
             input_values=input.values,
             bias_grad=delta,
-            input_grad=sparsify(input_grad_dense),
+            input_grad=input_grad,
         )
 
 

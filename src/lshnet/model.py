@@ -95,7 +95,8 @@ class Model:
         for i in range(len(self.layers) - 1, -1, -1):
             layer_input = input if i == 0 else results[i - 1].output
             g = self.layers[i].backward(layer_input, results[i].activations,
-                                        results[i].active, upstream)
+                                        results[i].active, upstream,
+                                        with_input_grad=i > 0)
             grads[i] = g
             if i > 0:
                 upstream = restrict(g.input_grad, results[i - 1].active.ids)

@@ -2,10 +2,11 @@
 
 The loop is phased per batch: per-sample forward/backward (parallelizable),
 then one exclusive update. For each layer that update concatenates the
-samples' active ids, takes their sorted union, reduces the batch to one
+samples' active ids, marks their sorted union, reduces the batch to one
 weight-gradient GEMM over those rows (deltas x layer inputs) and applies Adam
-to those rows only. It then flushes queued label insertions into the LSH
-buckets and periodically rebuilds the indexes from the drifted weights.
+to those rows only, in cache-sized chunks of rows. It then flushes queued
+label insertions into the LSH buckets and periodically rebuilds the indexes
+from the drifted weights.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ class TrainReport:
     epochs: list = field(default_factory=list)
 
 
+# values per temporary in one chunk of a lazy Adam update (128 KB of float64):
+# small enough for every temporary of a chunk to stay in a core's L2 cache
+ADAM_CHUNK_ELEMENTS = 16384
+
+
 class _LayerAdam:
     """Per-layer Adam moments with lazy (touch-time only) row updates."""
 
@@ -97,33 +103,40 @@ class SparseAdamState:
         """Advance moments and apply the step for the touched rows only.
 
         Skipped steps are NOT retroactively decayed (pure-lazy); bias
-        correction uses the global step at touch time.
+        correction uses the global step at touch time. `rows` are sorted and
+        distinct, aligned with the gradient rows. They are walked in chunks of
+        about ADAM_CHUNK_ELEMENTS values, so every temporary stays in cache;
+        each row's arithmetic is the same for any chunk size.
         """
         st = self.layers[layer_idx]
         layer = model.layers[layer_idx]
         b1, b2 = self.beta1, self.beta2
         c1 = 1 - b1**self.t
         c2 = 1 - b2**self.t
-        for m_all, v_all, params, g in ((st.m_w, st.v_w, layer.weights, grad_w),
-                                        (st.m_b, st.v_b, layer.biases, grad_b)):
-            # one gather and one scatter per array; the arithmetic runs in place
-            m = m_all[rows]
-            v = v_all[rows]
-            m *= b1
-            m += (1 - b1) * g
-            g2 = np.square(g)
-            g2 *= 1 - b2
-            v *= b2
-            v += g2
-            m_all[rows] = m
-            v_all[rows] = v
-            m /= c1
-            m *= self.lr
-            v /= c2
-            np.sqrt(v, out=v)
-            v += self.eps
-            m /= v
-            params[rows] -= m
+        for m_all, v_all, params, g_all in ((st.m_w, st.v_w, layer.weights, grad_w),
+                                            (st.m_b, st.v_b, layer.biases, grad_b)):
+            step = max(1, ADAM_CHUNK_ELEMENTS // math.prod(g_all.shape[1:]))
+            for lo in range(0, rows.size, step):
+                # one gather and one scatter per array and chunk; the arithmetic runs in place
+                r = rows[lo:lo + step]
+                g = g_all[lo:lo + step]
+                m = m_all[r]
+                v = v_all[r]
+                m *= b1
+                m += (1 - b1) * g
+                g2 = np.square(g)
+                g2 *= 1 - b2
+                v *= b2
+                v += g2
+                m_all[r] = m
+                v_all[r] = v
+                m /= c1
+                m *= self.lr
+                v /= c2
+                np.sqrt(v, out=v)
+                v += self.eps
+                m /= v
+                params[r] -= m
         st.last_step[rows] = self.t
 
 
@@ -224,7 +237,8 @@ class Trainer:
         self.state.t += 1
         # fixed sample order keeps the batch reduction deterministic
         for li, layer in enumerate(self.model.layers):
-            rows, gw, gb = _batch_gradient([g[li] for _, (_, _, g) in pairs], layer.prev_dim)
+            rows, gw, gb = _batch_gradient([g[li] for _, (_, _, g) in pairs],
+                                           layer.dim, layer.prev_dim)
             if rows.size:
                 self.state.update_rows(self.model, li, rows, gw, gb)
 
@@ -241,18 +255,24 @@ class Trainer:
         return total_loss / n, hits
 
 
-def _batch_gradient(grads: list, prev_dim: int):
+def _batch_gradient(grads: list, dim: int, prev_dim: int):
     """Average one layer's per-sample gradients over the union of their active rows.
 
     Returns (rows, grad_w, grad_b): the sorted union of active ids and the
-    batch-mean weight and bias gradients at those rows. Sample i's deltas fill row
-    i of an (n, |rows|) matrix and its input fills row i of an (n, prev_dim)
-    matrix, so the weight gradient is one GEMM. Each sample's active ids are
-    distinct, so one scatter fills each matrix.
+    batch-mean weight and bias gradients at those rows. The union is marked in
+    a length-dim mask, which needs no sort. Sample i's deltas fill row i of an
+    (n, |rows|) matrix and its input fills row i of an (n, prev_dim) matrix, so
+    the weight gradient is one GEMM. Each sample's active ids are distinct, so
+    one scatter fills each matrix.
     """
     n = len(grads)
     ids = np.concatenate([g.active_ids for g in grads])
-    rows, col = np.unique(ids, return_inverse=True)
+    mark = np.zeros(dim, dtype=bool)
+    mark[ids] = True
+    rows = np.flatnonzero(mark)
+    pos = np.empty(dim, dtype=np.intp)
+    pos[rows] = np.arange(rows.size)
+    col = pos[ids]
     delta = np.zeros((n, rows.size))
     delta[np.repeat(np.arange(n), [g.active_ids.size for g in grads]), col] = \
         np.concatenate([g.bias_grad for g in grads])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lshnet.cli import build_parser, main
+from lshnet.cli import EXIT_DATA, build_parser, main
 from lshnet.data import serialize_xc, synth_clustered
 
 
@@ -113,6 +113,20 @@ def test_bad_data_exit_3(tmp_path, capsys):
     write_config(config, data, model)
     rc = main(["train", str(config)])
     assert rc == 3
+    assert not model.exists()
+
+
+def test_malformed_data_line_exit_3(tmp_path, capsys):
+    data = tmp_path / "train.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    data.write_text("2 16 20\n1 0:1.0\n0 3:nan\n")
+    write_config(config, data, model)
+    rc = main(["train", str(config)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
     assert not model.exists()
 
 

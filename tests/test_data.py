@@ -9,6 +9,7 @@ from lshnet.data import (
     FeatureOutOfRange,
     LabelOutOfRange,
     MalformedHeader,
+    MalformedLine,
     parse_xc,
     serialize_xc,
     synth_clustered,
@@ -58,6 +59,12 @@ def test_malformed_header():
         parse_xc("2 3\n")
     with pytest.raises(MalformedHeader):
         parse_xc("a b c\n")
+
+
+@pytest.mark.parametrize("line", ["0,x 1:1.0", "0 a:1.0", "0 3", "0 1:zz", "0 1:nan", "0 1:inf"])
+def test_malformed_line_names_it(line):
+    with pytest.raises(MalformedLine, match="^line 3: "):
+        parse_xc(f"2 3 4\n1 0:1.0\n{line}\n")
 
 
 def test_unsorted_features_sorted_on_read():

@@ -156,6 +156,9 @@ def test_backward_single_active_identity():
     assert g.weight_grad.tolist() == [[2.0, -1.0]]
     assert g.bias_grad.tolist() == [1.0]
     assert densify(g.input_grad).tolist() == [3.0, 4.0]
+    g0 = layer.backward(x, res.activations, res.active, upstream, with_input_grad=False)
+    assert g0.input_grad is None
+    assert g0.bias_grad.tolist() == [1.0]
 
 
 def test_backward_rejects_upstream_outside_active():

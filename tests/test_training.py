@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lshnet import training
 from lshnet.data import synth_clustered
 from lshnet.errors import DataError
 from lshnet.layers import DENSE_INFER, RELU, SOFTMAX, SPARSE_INFER
@@ -97,6 +98,83 @@ def test_lazy_adam_equals_textbook_when_all_rows_touched():
         state.update_rows(model, 0, rows, g, np.zeros(6))
     expected = reference_adam(w0, grads, lr=0.003)
     assert np.max(np.abs(layer.weights - expected)) < 1e-10
+
+
+def one_shot_update_rows(state, model, layer_idx, rows, grad_w, grad_b):
+    """Oracle: the lazy Adam update as one gather and one scatter over all rows."""
+    st = state.layers[layer_idx]
+    layer = model.layers[layer_idx]
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1 - b1**state.t
+    c2 = 1 - b2**state.t
+    for m_all, v_all, params, g in ((st.m_w, st.v_w, layer.weights, grad_w),
+                                    (st.m_b, st.v_b, layer.biases, grad_b)):
+        m = m_all[rows]
+        v = v_all[rows]
+        m *= b1
+        m += (1 - b1) * g
+        g2 = np.square(g)
+        g2 *= 1 - b2
+        v *= b2
+        v += g2
+        m_all[rows] = m
+        v_all[rows] = v
+        m /= c1
+        m *= state.lr
+        v /= c2
+        np.sqrt(v, out=v)
+        v += state.eps
+        m /= v
+        params[rows] -= m
+    st.last_step[rows] = state.t
+
+
+@pytest.mark.parametrize("dim,prev_dim", [(17000, 4), (1000, 64)])
+@pytest.mark.parametrize("case", ["several_chunks", "single_row", "all_rows", "empty"])
+def test_chunked_adam_equals_one_shot_update(dim, prev_dim, case):
+    # (17000, 4): 4,096-row weight chunks and 16,384-row bias chunks, both with a
+    # partial last chunk when all rows are touched; (1000, 64): 256-row chunks
+    assert training.ADAM_CHUNK_ELEMENTS == 16384
+    rng = np.random.default_rng(30)
+    models = [Model.create([prev_dim, dim], [1.0], [SOFTMAX], seed=31) for _ in range(2)]
+    states = [SparseAdamState(m, lr=0.01) for m in models]
+    pick = {
+        "several_chunks": lambda: np.sort(rng.choice(dim, size=dim * 7 // 10, replace=False)),
+        "single_row": lambda: np.array([dim // 3]),
+        "all_rows": lambda: np.arange(dim),
+        "empty": lambda: np.array([], dtype=np.int64),
+    }
+    schedule = [pick["several_chunks"], pick["all_rows"], pick[case], pick[case]]
+    for t, rows_of in enumerate(schedule, start=1):
+        rows = rows_of()
+        gw = rng.standard_normal((rows.size, prev_dim))
+        gb = rng.standard_normal(rows.size)
+        for state, model, update in ((states[0], models[0], SparseAdamState.update_rows),
+                                     (states[1], models[1], one_shot_update_rows)):
+            state.t = t
+            update(state, model, 0, rows, gw.copy(), gb.copy())
+        got, want = states[0].layers[0], states[1].layers[0]
+        for name in ("m_w", "v_w", "m_b", "v_b", "last_step"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (t, name)
+        assert np.array_equal(models[0].layers[0].weights, models[1].layers[0].weights), t
+        assert np.array_equal(models[0].layers[0].biases, models[1].layers[0].biases), t
+
+
+def test_adam_chunk_size_does_not_change_trained_model(monkeypatch):
+    # the output layer's 256-wide rows take 64-row chunks at the default size
+    cfg = TrainConfig(batch_size=16, epochs=1, lr=0.01, seed=32,
+                      rebuild_interval=2, aln_enabled=True)
+    saved = []
+    for chunk in (training.ADAM_CHUNK_ELEMENTS, 1, 10**9):
+        monkeypatch.setattr(training, "ADAM_CHUNK_ELEMENTS", chunk)
+        ds = synth_clustered(400, 1, 64, 0.1, seed=33)
+        ds.examples = ds.examples[:64]
+        ds.num_points = 64
+        model = Model.create([64, 256, 400], [1.0, 0.05], [RELU, SOFTMAX], seed=34)
+        train(model, ds, cfg)
+        saved.append(model_bytes(model))
+    assert saved[1] == saved[0]
+    assert saved[2] == saved[0]
 
 
 # -- training loop ----------------------------------------------------------
