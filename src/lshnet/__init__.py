@@ -9,6 +9,7 @@ from .errors import (
     DimensionError,
     InfeasibleSparsity,
     LshnetError,
+    ModelFormatError,
 )
 from .layers import (
     DENSE_INFER,
@@ -21,6 +22,7 @@ from .layers import (
 from .lsh import NeuronIndex, SrpHasher
 from .model import Model
 from .training import (
+    Latency,
     SparseAdamState,
     TrainConfig,
     Trainer,

@@ -1,8 +1,8 @@
 """Command-line operator surface: train, eval, predict, autotune, bench.
 
-Exit codes: 0 ok, 2 config/schema error, 3 data error, 4 I/O error. Model
-files are written atomically (temp file + rename), so a nonzero exit never
-leaves a partial model behind.
+Exit codes: 0 ok, 2 config/schema error, 3 data error, 4 I/O error, which
+includes a truncated or corrupt model file. Model files are written atomically
+(temp file + rename), so a nonzero exit never leaves a partial model behind.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import tempfile
 from .autotune import AutotuneConfig, autotune, plan_cost_ratio
 from .config import load_run_config, schema_help
 from .data import load_xc
-from .errors import ConfigError, DataError, DimensionError, InfeasibleSparsity
+from .errors import ConfigError, DataError, InfeasibleSparsity, ModelFormatError
 from .layers import DENSE_INFER, SPARSE_INFER
 from .model import Model
 from .training import TrainConfig, Trainer, evaluate, predict
@@ -96,7 +96,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         model = Model.load_from(args.model)
-    except OSError as e:
+    except (ModelFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -115,8 +115,14 @@ def cmd_eval(args) -> int:
     if mode == SPARSE_INFER and model.layers[-1].index is None:
         mode = DENSE_INFER
     cfg = TrainConfig(inference_sparsity=args.inference_sparsity)
-    p_at_k, latency = evaluate(model, dataset, args.k, cfg, mode)
-    print(f"p@{args.k}={p_at_k:.6f} latency_ms={latency * 1000:.3f} "
+    try:
+        p_at_k, lat = evaluate(model, dataset, args.k, cfg, mode)
+    except DataError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    print(f"p@{args.k}={p_at_k:.6f} latency_ms={lat.mean * 1000:.3f} "
+          f"p50_ms={lat.p50 * 1000:.3f} p90_ms={lat.p90 * 1000:.3f} "
+          f"p99_ms={lat.p99 * 1000:.3f} max_ms={lat.max * 1000:.3f} "
           f"mode={'dense' if mode == DENSE_INFER else 'sparse'}")
     return 0
 
@@ -124,7 +130,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     try:
         model = Model.load_from(args.model)
-    except OSError as e:
+    except (ModelFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="precision@k and mean latency of a model")
+    p = sub.add_parser("eval", help="precision@k and the latency distribution of a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, default=1)

@@ -23,3 +23,7 @@ class DataError(LshnetError):
 
 class ConfigError(LshnetError):
     """Run configuration is malformed or fails schema validation."""
+
+
+class ModelFormatError(LshnetError, ValueError):
+    """A model or neuron-index stream is truncated or malformed."""

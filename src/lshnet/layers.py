@@ -127,14 +127,17 @@ class SparseLinearLayer:
         if input.dim != self.prev_dim:
             raise DimensionError(f"input dim {input.dim} != layer prev dim {self.prev_dim}")
         aln_record = None
-        if mode == DENSE_INFER or self.sparsity == 1:
+        if min_count is None:
+            min_count = self.min_count
+        # a sparse inference query for all d ids would only pad up to every row
+        full = mode == SPARSE_INFER and min_count == self.dim
+        if mode == DENSE_INFER or self.sparsity == 1 or full:
             ids = np.arange(self.dim, dtype=np.int64)
             flags = np.zeros(self.dim, dtype=np.uint8)
             if mode == TRAIN:
                 self._check_labels(labels)
         elif mode in (SPARSE_INFER, TRAIN):
-            ids, padded, codes = self.index.query(
-                input, self.min_count if min_count is None else min_count)
+            ids, padded, codes = self.index.query(input, min_count)
             flags = np.where(padded, PADDED, SAMPLED).astype(np.uint8)
             if mode == TRAIN:
                 labels = self._check_labels(labels)

@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from .autotune import AutotunePlan
-from .errors import DimensionError
+from .errors import DimensionError, ModelFormatError
 from .vectors import SparseVector
 
 _MAGIC = b"LSHI"
@@ -241,13 +241,16 @@ class NeuronIndex:
         codes = self._codes(input)
         selected = self.slots[self._all_tables, codes]
         used = np.arange(self.slots.shape[2]) < self.fill[self._all_tables, codes][:, None]
-        ids, counts = np.unique(selected[used], return_counts=True)
-        ids = ids.astype(np.int64)
+        hits = np.sort(selected[used])
+        first = np.ones(hits.size, dtype=bool)
+        np.not_equal(hits[1:], hits[:-1], out=first[1:])
+        ids = hits[first].astype(np.int64)
         codes = codes.tolist()
 
         budget = QUERY_BUDGET_FACTOR * min_count
         if ids.size > budget:
             # keep highest table-collision multiplicity, ties to ascending id
+            counts = np.diff(np.append(np.flatnonzero(first), hits.size))
             order = np.lexsort((ids, -counts))
             ids = np.sort(ids[order[:budget]])
 
@@ -363,16 +366,16 @@ class NeuronIndex:
     @classmethod
     def load(cls, fh) -> "NeuronIndex":
         if fh.read(4) != _MAGIC:
-            raise ValueError("not a neuron-index stream")
+            raise ModelFormatError("not a neuron-index stream")
         version, k, l, cap, d, d_prev, seed = struct.unpack("<IIIIIIq", _read(fh, 32))
         if version != _VERSION:
-            raise ValueError(f"unsupported index version {version}")
+            raise ModelFormatError(f"unsupported index version {version}")
         seeds = struct.unpack(f"<{l}Q", _read(fh, 8 * l))
         ix = cls([SrpHasher(k, d_prev, s) for s in seeds], cap, d, seed)
         for t in range(l):
             (n_occupied,) = struct.unpack("<I", _read(fh, 4))
             if n_occupied > 2**k:
-                raise ValueError(f"corrupt neuron-index table {t}")
+                raise ModelFormatError(f"corrupt neuron-index table {t}")
             words, header_at = _read_table(fh, n_occupied, cap, t)
             codes = words[header_at]
             counts = words[header_at + 1]
@@ -380,7 +383,7 @@ class NeuronIndex:
             is_id[header_at] = is_id[header_at + 1] = False
             ids = words[is_id]
             if (codes >= 2**k).any() or (np.diff(codes) <= 0).any() or (ids >= d).any():
-                raise ValueError(f"corrupt neuron-index table {t}")
+                raise ModelFormatError(f"corrupt neuron-index table {t}")
             if counts.size:
                 ix._ensure_width(int(counts.max()))
             rank = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -392,7 +395,7 @@ class NeuronIndex:
 def _read(fh, n: int) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise ValueError("truncated neuron-index stream")
+        raise ModelFormatError("truncated neuron-index stream")
     return data
 
 
@@ -413,7 +416,7 @@ def _read_table(fh, n_occupied: int, cap: int, t: int):
             view, base, have = memoryview(chunks[-1].astype(np.uint32, copy=False)), have, known
         count = view[pos + 1 - base]
         if count > cap:  # before its ids are read
-            raise ValueError(f"corrupt neuron-index table {t}")
+            raise ModelFormatError(f"corrupt neuron-index table {t}")
         header_at.append(pos)
         known += count
         pos += 2 + count

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import Optional
 
 import numpy as np
 
 from .autotune import AutotuneConfig, AutotunePlan
-from .errors import DimensionError
+from .errors import DimensionError, ModelFormatError
 from .layers import (
     ACTIVATIONS,
     DENSE_INFER,
@@ -131,23 +132,41 @@ class Model:
 
     @classmethod
     def load(cls, fh) -> "Model":
+        """Read a model stream; ModelFormatError if it is truncated or malformed."""
+        try:
+            return cls._load(fh)
+        except ModelFormatError:
+            raise
+        except (ValueError, DimensionError) as e:
+            # fields that read whole but do not make a model
+            raise ModelFormatError(f"corrupt model stream: {e}") from None
+
+    @classmethod
+    def _load(cls, fh) -> "Model":
         if fh.read(4) != _MAGIC:
-            raise ValueError("not a model stream")
-        version, n_layers = struct.unpack("<II", fh.read(8))
+            raise ModelFormatError("not a model stream")
+        version, n_layers = struct.unpack("<II", _read(fh, 8))
         if version != _VERSION:
-            raise ValueError(f"unsupported model version {version}")
+            raise ModelFormatError(f"unsupported model version {version}")
         layers = []
-        for _ in range(n_layers):
-            d, d_prev, s, act_tag = struct.unpack("<IIdB", fh.read(17))
-            (has_plan,) = struct.unpack("<B", fh.read(1))
+        for i in range(n_layers):
+            d, d_prev, s, act_tag = struct.unpack("<IIdB", _read(fh, 17))
+            (has_plan,) = struct.unpack("<B", _read(fh, 1))
+            if act_tag >= len(ACTIVATIONS) or has_plan > 1:
+                raise ModelFormatError(f"corrupt header of layer {i}")
             plan = None
             if has_plan:
-                k, l, r, c1, c2, lmax = struct.unpack("<IIIddI", fh.read(32))
+                k, l, r, c1, c2, lmax = struct.unpack("<IIIddI", _read(fh, 32))
                 plan = AutotunePlan(k, l, r, AutotuneConfig(c1, c2, lmax), d, d_prev, s)
-            weights = np.frombuffer(fh.read(8 * d * d_prev), dtype="<f8").reshape(d, d_prev).copy()
-            biases = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
-            (has_index,) = struct.unpack("<B", fh.read(1))
+            # refused before anything of that size is read or allocated
+            if fh.seekable() and 8 * d * (d_prev + 1) > _bytes_left(fh):
+                raise ModelFormatError(f"layer {i}: {d} x {d_prev} weights pass the stream's end")
+            weights = np.frombuffer(_read(fh, 8 * d * d_prev), dtype="<f8").reshape(d, d_prev).copy()
+            biases = np.frombuffer(_read(fh, 8 * d), dtype="<f8").copy()
+            (has_index,) = struct.unpack("<B", _read(fh, 1))
             index = NeuronIndex.load(fh) if has_index else None
+            if index is not None and (index.num_neurons, index.hashers[0].input_dim) != (d, d_prev):
+                raise ModelFormatError(f"layer {i}: index shape does not match the weights")
             layers.append(SparseLinearLayer(weights, biases, s, ACTIVATIONS[act_tag],
                                             index, plan))
         return cls(layers)
@@ -160,3 +179,17 @@ class Model:
     def load_from(cls, path: str) -> "Model":
         with open(path, "rb") as fh:
             return cls.load(fh)
+
+
+def _read(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ModelFormatError("truncated model stream")
+    return data
+
+
+def _bytes_left(fh) -> int:
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here

@@ -292,7 +292,11 @@ def train(model: Model, dataset: XcDataset, cfg: TrainConfig,
 
 def predict(model: Model, input: SparseVector, cfg: TrainConfig,
             mode: str = SPARSE_INFER) -> np.ndarray:
-    """Ranked label ids, activation descending, ties by ascending id."""
+    """Ranked label ids, activation descending, ties by ascending id.
+
+    Strictly decreasing activations have one order, so the default argsort
+    is exact then; any tie or NaN takes the lexsort.
+    """
     if mode == DENSE_INFER:
         results = model.forward(input, DENSE_INFER)
     else:
@@ -300,25 +304,41 @@ def predict(model: Model, input: SparseVector, cfg: TrainConfig,
         min_count = math.ceil(cfg.inference_sparsity * out_layer.dim)
         results = model.forward(input, SPARSE_INFER, output_min_count=min_count)
     acts = results[-1].activations
-    order = np.lexsort((acts.indices, -acts.values))
+    order = np.argsort(-acts.values)
+    ranked = acts.values[order]
+    if not (ranked[:-1] > ranked[1:]).all():
+        # a tie or a NaN: argsort leaves the order of equal values open
+        order = np.lexsort((acts.indices, -acts.values))
     return acts.indices[order]
+
+
+@dataclass(frozen=True)
+class Latency:
+    """Single-sample predict latency in seconds over the timed predicts."""
+    mean: float
+    p50: float
+    p90: float
+    p99: float
+    max: float
 
 
 def evaluate(model: Model, dataset: XcDataset, k: int, cfg: TrainConfig,
              mode: str = SPARSE_INFER):
-    """Returns (precision@k, mean single-sample latency in seconds).
+    """Returns (precision@k, Latency).
 
-    One pass: the latency is the mean over the first min(1000, n) predicts.
+    One pass: the latency is taken over the first min(1000, n) predicts.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not dataset.examples:
+        raise DataError("no examples to evaluate")
     total = 0.0
-    n_lat = min(1000, len(dataset))
-    timed = 0.0
+    timed = np.empty(min(1000, len(dataset)))
     for i, ex in enumerate(dataset.examples):
         t0 = time.perf_counter()
         ranked = predict(model, ex.features, cfg, mode)
-        if i < n_lat:
-            timed += time.perf_counter() - t0
+        if i < timed.size:
+            timed[i] = time.perf_counter() - t0
         total += len(set(ranked[:k].tolist()) & set(ex.labels)) / k
-    return total / len(dataset), timed / n_lat
+    p50, p90, p99 = np.percentile(timed, [50, 90, 99]).tolist()
+    return total / len(dataset), Latency(float(timed.mean()), p50, p90, p99, float(timed.max()))

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from lshnet.cli import EXIT_DATA, build_parser, main
+from lshnet.cli import EXIT_DATA, EXIT_IO, build_parser, main
 from lshnet.data import serialize_xc, synth_clustered
 
 
@@ -65,7 +67,8 @@ def test_train_eval_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "p@1=1.000000" in out  # zero-noise task is separable
-    assert "latency_ms=" in out
+    for key in ("latency_ms=", "p50_ms=", "p90_ms=", "p99_ms=", "max_ms="):
+        assert key in out
     assert "mode=dense" in out
 
 
@@ -135,6 +138,49 @@ def test_eval_missing_model_exit_4(tmp_path):
     write_dataset(data)
     rc = main(["eval", "--model", str(tmp_path / "nope.bin"), "--data", str(data)])
     assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_corrupt_model_exit_4(tmp_path, capsys, command):
+    data = tmp_path / "train.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    write_dataset(data)
+    d, d_prev = 200, 16
+    write_config(config, data, model, **{"model.layer_dims": f"{d_prev},{d}",
+                                         "model.sparsities": "0.05", "train.epochs": "1"})
+    assert main(["train", str(config)]) == 0
+    blob = model.read_bytes()
+    # magic, version, layer count; the layer header and its plan; weights, biases, index flag
+    index_at = 4 + 8 + 18 + 32 + 8 * d * (d_prev + 1) + 1
+    cuts = (0, 3, 10, 30, 100, index_at, index_at + 2, index_at + 40, len(blob) - 5, len(blob) - 1)
+    cases = [blob[:cut] for cut in cuts]
+    inflated = bytearray(blob)
+    struct.pack_into("<I", inflated, 12, 2**31)  # the layer's width
+    cases.append(bytes(inflated))
+    bad = tmp_path / "bad.bin"
+    capsys.readouterr()
+    for case in cases:
+        bad.write_bytes(case)
+        rc = main([command, "--model", str(bad), "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_IO, len(case)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_eval_empty_data_exit_3(tmp_path, capsys):
+    data = tmp_path / "train.txt"
+    empty = tmp_path / "empty.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    write_dataset(data)
+    empty.write_text("0 16 20\n")
+    write_config(config, data, model, **{"train.epochs": "1"})
+    assert main(["train", str(config)]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--data", str(empty)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: no examples to evaluate\n"
 
 
 def test_eval_dim_mismatch_exit_3(tmp_path, capsys):

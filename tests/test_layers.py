@@ -1,10 +1,11 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from lshnet.errors import ContractError, DimensionError
+from lshnet.errors import ContractError, DimensionError, ModelFormatError
 from lshnet.layers import (
     DENSE_INFER,
     IDENTITY,
@@ -336,3 +337,25 @@ def test_model_serialization_round_trip():
     a = model.forward(x, SPARSE_INFER)
     b = again.forward(x, SPARSE_INFER)
     assert np.array_equal(a[-1].activations.values, b[-1].activations.values)
+
+
+@pytest.mark.parametrize("field", ["magic", "version", "activation tag", "plan flag",
+                                   "sparsity", "index shape"])
+def test_model_load_rejects_corrupt_field(field):
+    model = Model.create([16, 100], [0.05], [SOFTMAX], seed=19)
+    buf = io.BytesIO()
+    model.save(buf)
+    data = bytearray(buf.getvalue())
+    # magic, then version and layer count, then the layer's d, d_prev, s, tag and plan flag
+    if field == "index shape":
+        own, other = io.BytesIO(), io.BytesIO()
+        model.layers[0].index.save(own)
+        Model.create([16, 120], [0.05], [SOFTMAX], seed=19).layers[0].index.save(other)
+        data = data[:len(data) - len(own.getvalue())] + other.getvalue()
+    else:
+        fmt, at, value = {"magic": ("<I", 0, 0), "version": ("<I", 4, 2),
+                          "activation tag": ("<B", 28, 3), "plan flag": ("<B", 29, 2),
+                          "sparsity": ("<d", 20, 1.5)}[field]
+        struct.pack_into(fmt, data, at, value)
+    with pytest.raises(ModelFormatError):
+        Model.load(io.BytesIO(bytes(data)))

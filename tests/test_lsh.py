@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lshnet.autotune import AutotuneConfig, AutotunePlan
 from lshnet.errors import DimensionError
 from lshnet.layers import SOFTMAX, TRAIN, SparseLinearLayer
-from lshnet.lsh import NeuronIndex, SrpHasher
+from lshnet.lsh import QUERY_BUDGET_FACTOR, NeuronIndex, SrpHasher
 from lshnet.vectors import SparseVector, sparsify
 
 
@@ -179,6 +179,46 @@ def test_query_truncates_by_multiplicity():
     assert ids.size == 4
     assert 7 in ids.tolist()
     assert ids.tolist() == sorted(ids.tolist())
+
+
+def unique_query(ix, x, min_count):
+    """query's union, truncation and padding, counted with np.unique."""
+    codes = [t.hasher.hash(x) for t in ix.tables]
+    hits = np.concatenate([np.asarray(t.buckets[c], dtype=np.int64)
+                           for t, c in zip(ix.tables, codes)])
+    ids, counts = np.unique(hits, return_counts=True)
+    budget = QUERY_BUDGET_FACTOR * min_count
+    if ids.size > budget:
+        ids = np.sort(ids[np.lexsort((ids, -counts))[:budget]])
+    padded = np.zeros(ids.size, dtype=bool)
+    if ids.size < min_count:
+        ids, padded = loop_pad(ix, ids, codes, min_count)
+    return ids, padded, codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), small=st.booleans())
+def test_query_matches_unique_oracle(seed, small):
+    rng = np.random.default_rng(seed)
+    d, d_prev = int(rng.integers(1, 150)), 6
+    k, l, cap = int(rng.integers(1, 4)), int(rng.integers(1, 9)), int(rng.integers(1, 30))
+    ix = NeuronIndex.build(rng.standard_normal((d, d_prev)), make_plan(k, l, cap, d, d_prev),
+                           seed=seed)
+    for _ in range(int(rng.integers(0, 6))):
+        ix.insert_labels(rng.choice(d, size=int(rng.integers(1, min(d, 4) + 1)), replace=False),
+                         rng.integers(0, 2**k, size=l).tolist())
+    for _ in range(5):
+        x = rng.standard_normal(d_prev)
+        x[rng.random(d_prev) < 0.3] = 0.0
+        x = sparsify(x)
+        # a small min_count puts most unions past the budget
+        min_count = int(rng.integers(1, min(d, 3) + 1 if small else d + 1))
+        ids, padded, codes = ix.query(x, min_count)
+        want_ids, want_padded, want_codes = unique_query(ix, x, min_count)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == want_ids.tolist()
+        assert padded.tolist() == want_padded.tolist()
+        assert codes == want_codes
 
 
 def test_query_recall_of_matching_row():

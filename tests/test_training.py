@@ -7,7 +7,7 @@ import pytest
 from lshnet import training
 from lshnet.data import synth_clustered
 from lshnet.errors import DataError
-from lshnet.layers import DENSE_INFER, RELU, SOFTMAX, SPARSE_INFER
+from lshnet.layers import DENSE_INFER, IDENTITY, RELU, SOFTMAX, SPARSE_INFER
 from lshnet.model import Model
 from lshnet.training import (
     SparseAdamState,
@@ -386,14 +386,53 @@ def test_aln_flush_respects_cap():
 # -- predict / evaluate -----------------------------------------------------
 
 
+def lexsort_ranking(model, x):
+    """The ranking oracle: activation descending, ties to the ascending id."""
+    acts = model.forward(x, DENSE_INFER)[-1].activations
+    return acts.indices[np.lexsort((acts.indices, -acts.values))].tolist()
+
+
 def test_dense_predict_ranking():
     model = hand_model()
     ranked = predict(model, sparsify([2.0, -1.0]), TrainConfig(), DENSE_INFER)
     assert ranked.tolist() == [0, 2, 1]  # activations 2, 0, 1; tie none
 
+    x = sparsify([2.0, -1.0])
+    for biases, want in [
+        ([0.0] * 6, [0, 1, 2, 3, 4, 5]),                       # zero weights: all equal
+        ([0.5, 2.0, 3.0, 2.0, -1.0, 0.0], [2, 1, 3, 0, 5, 4]),  # a tie in mid-ranking
+        ([1.0, 4.0, 1.0, 1.0, 1.0, -2.0], [1, 0, 2, 3, 4, 5]),  # a run of equal values
+        ([-0.0, 1.0, 0.0, np.nan, 2.0, 0.0], [4, 1, 0, 2, 5, 3]),  # signed zeros tie; NaN last
+    ]:
+        model = Model.create([2, len(biases)], [1.0], [IDENTITY], seed=0)
+        model.layers[0].weights[:] = 0.0
+        model.layers[0].biases[:] = biases
+        ranked = predict(model, x, TrainConfig(), DENSE_INFER).tolist()
+        assert ranked == want == lexsort_ranking(model, x), biases
 
-def test_full_inference_sparsity_matches_dense():
+
+def test_predict_ranking_equals_lexsort_oracle():
+    rng = np.random.default_rng(21)
+    model = Model.create([8, 500], [1.0], [IDENTITY], seed=21)
+    layer = model.layers[0]
+    for trial in range(20):
+        x = sparsify(rng.standard_normal(8))
+        # distinct values, then a few values drawn from a small set (many ties)
+        layer.weights[:] = rng.standard_normal(layer.weights.shape)
+        layer.biases[:] = 0.0
+        if trial % 2:
+            layer.weights[:] = 0.0
+            layer.biases[:] = rng.integers(0, 1 + trial, size=layer.dim)
+        assert predict(model, x, TrainConfig(), DENSE_INFER).tolist() == lexsort_ranking(model, x)
+
+
+def test_full_inference_sparsity_matches_dense(monkeypatch):
     ds, model = sparse_toy(seed=18)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("index queried at full inference sparsity")
+
+    monkeypatch.setattr(model.layers[-1].index, "query", no_query)
     cfg = TrainConfig(inference_sparsity=1.0)
     for ex in ds.examples[:10]:
         sparse = predict(model, ex.features, cfg, SPARSE_INFER)
@@ -412,6 +451,14 @@ def test_evaluate_trivial_precision():
     p_miss, _ = evaluate(model, ds_miss, 1, cfg, DENSE_INFER)
     assert p_hit == 1.0
     assert p_miss == 0.0
+
+
+def test_evaluate_latency_distribution():
+    ds, model = sparse_toy(seed=22)
+    p, lat = evaluate(model, ds, 1, TrainConfig(inference_sparsity=0.05))
+    assert 0.0 <= p <= 1.0
+    assert 0.0 < lat.p50 <= lat.p90 <= lat.p99 <= lat.max
+    assert 0.0 < lat.mean <= lat.max
 
 
 def test_report_records_complete():
