@@ -27,7 +27,6 @@ from .training import (
     TrainConfig,
     Trainer,
     evaluate,
-    lazy_adam_update,
     predict,
     train,
 )

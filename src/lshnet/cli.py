@@ -1,8 +1,11 @@
 """Command-line operator surface: train, eval, predict, autotune, bench.
 
-Exit codes: 0 ok, 2 config/schema error, 3 data error, 4 I/O error, which
-includes a truncated or corrupt model file. Model files are written atomically
-(temp file + rename), so a nonzero exit never leaves a partial model behind.
+Exit codes: 0 ok, 2 config/schema or argument error, 3 data error, 4 I/O
+error, which includes a truncated or corrupt model file. Commands raise; one
+table in `main` maps the exception to its exit code and one `error:` line, and
+an exception outside the table keeps its traceback. Model files are written
+atomically (temp file + rename), so a nonzero exit never leaves a partial model
+behind.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import tempfile
 from .autotune import AutotuneConfig, autotune, plan_cost_ratio
 from .config import load_run_config, schema_help
 from .data import load_xc
-from .errors import ConfigError, DataError, InfeasibleSparsity, ModelFormatError
+from .errors import ConfigError, DataError, DimensionError, InfeasibleSparsity, ModelFormatError
 from .layers import DENSE_INFER, SPARSE_INFER
 from .model import Model
 from .training import TrainConfig, Trainer, evaluate, predict
@@ -24,6 +27,18 @@ from .training import TrainConfig, Trainer, evaluate, predict
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+
+# exception type -> exit code; the first match wins, so ModelFormatError, which
+# is also a ValueError, comes before ValueError
+EXIT_CODES = {
+    ModelFormatError: EXIT_IO,
+    ConfigError: EXIT_CONFIG,
+    InfeasibleSparsity: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+    DataError: EXIT_DATA,
+    DimensionError: EXIT_DATA,
+    OSError: EXIT_IO,
+}
 
 
 def _atomic_write_model(model: Model, path: str) -> None:
@@ -33,10 +48,9 @@ def _atomic_write_model(model: Model, path: str) -> None:
         with os.fdopen(fd, "wb") as fh:
             model.save(fh)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _build_model(run_cfg) -> Model:
@@ -50,76 +64,36 @@ def _build_model(run_cfg) -> Model:
     )
 
 
+def _load_for_inference(args):
+    """(model, dataset, mode, cfg) for eval and predict; sparse mode falls back
+    to dense when the output layer has no index."""
+    cfg = TrainConfig(inference_sparsity=args.inference_sparsity)
+    model = Model.load_from(args.model)
+    dataset = load_xc(args.data, args.index_base)
+    dataset.check_width(model.input_dim)
+    sparse = args.mode == "sparse" and model.layers[-1].index is not None
+    return model, dataset, SPARSE_INFER if sparse else DENSE_INFER, cfg
+
+
 def cmd_train(args) -> int:
-    try:
-        run_cfg = load_run_config(args.config)
-    except (ConfigError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
-    try:
-        dataset = load_xc(run_cfg["data.train_path"], run_cfg["data.index_base"])
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model = _build_model(run_cfg)
-    except (InfeasibleSparsity, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    run_cfg = load_run_config(args.config)
     cfg = run_cfg.train_config()
-    try:
-        report = Trainer(model, cfg).train(dataset)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    dataset = load_xc(run_cfg["data.train_path"], run_cfg["data.index_base"])
+    model = _build_model(run_cfg)
+    report = Trainer(model, cfg).train(dataset)
     lines = [rec.line() for rec in report.records]
     for line in lines:
         print(line)
     if run_cfg.get("train.report_path"):
-        try:
-            with open(run_cfg["train.report_path"], "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_IO
-    try:
-        _atomic_write_model(model, run_cfg["model.path"])
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        with open(run_cfg["train.report_path"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    _atomic_write_model(model, run_cfg["model.path"])
     return 0
 
 
 def cmd_eval(args) -> int:
-    try:
-        model = Model.load_from(args.model)
-    except (ModelFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        dataset = load_xc(args.data, args.index_base)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    if dataset.num_features != model.input_dim:
-        print(f"error: dataset feature dim {dataset.num_features} != model input "
-              f"dim {model.input_dim}", file=sys.stderr)
-        return EXIT_DATA
-    mode = DENSE_INFER if args.mode == "dense" else SPARSE_INFER
-    if mode == SPARSE_INFER and model.layers[-1].index is None:
-        mode = DENSE_INFER
-    cfg = TrainConfig(inference_sparsity=args.inference_sparsity)
-    try:
-        p_at_k, lat = evaluate(model, dataset, args.k, cfg, mode)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    model, dataset, mode, cfg = _load_for_inference(args)
+    p_at_k, lat = evaluate(model, dataset, args.k, cfg, mode)
     print(f"p@{args.k}={p_at_k:.6f} latency_ms={lat.mean * 1000:.3f} "
           f"p50_ms={lat.p50 * 1000:.3f} p90_ms={lat.p90 * 1000:.3f} "
           f"p99_ms={lat.p99 * 1000:.3f} max_ms={lat.max * 1000:.3f} "
@@ -128,26 +102,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    try:
-        model = Model.load_from(args.model)
-    except (ModelFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        dataset = load_xc(args.data, args.index_base)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    if dataset.num_features != model.input_dim:
-        print("error: dataset feature dim does not match model", file=sys.stderr)
-        return EXIT_DATA
-    mode = DENSE_INFER if args.mode == "dense" else SPARSE_INFER
-    if mode == SPARSE_INFER and model.layers[-1].index is None:
-        mode = DENSE_INFER
-    cfg = TrainConfig(inference_sparsity=args.inference_sparsity)
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
+    model, dataset, mode, cfg = _load_for_inference(args)
     for ex in dataset.examples:
         ranked = predict(model, ex.features, cfg, mode)[: args.k]
         print(" ".join(str(int(i)) for i in ranked))
@@ -155,12 +112,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_autotune(args) -> int:
-    try:
-        cfg = AutotuneConfig(c1=args.c1, c2=args.c2, l_max=args.lmax)
-        plan = autotune(args.dim, args.prev_dim, args.sparsity, cfg)
-    except (InfeasibleSparsity, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = AutotuneConfig(c1=args.c1, c2=args.c2, l_max=args.lmax)
+    plan = autotune(args.dim, args.prev_dim, args.sparsity, cfg)
     print(f"K={plan.k_bits}")
     print(f"L={plan.num_tables}")
     print(f"R={plan.bucket_cap}")
@@ -169,27 +122,13 @@ def cmd_autotune(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        run_cfg = load_run_config(args.config)
-    except (ConfigError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
-    try:
-        dataset = load_xc(run_cfg["data.train_path"], run_cfg["data.index_base"])
-        eval_path = run_cfg.get("data.eval_path") or run_cfg["data.train_path"]
-        eval_set = load_xc(eval_path, run_cfg["data.index_base"])
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        model = _build_model(run_cfg)
-    except (InfeasibleSparsity, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    run_cfg = load_run_config(args.config)
     cfg = run_cfg.train_config()
+    dataset = load_xc(run_cfg["data.train_path"], run_cfg["data.index_base"])
+    eval_path = run_cfg.get("data.eval_path") or run_cfg["data.train_path"]
+    eval_set = load_xc(eval_path, run_cfg["data.index_base"])
+    model = _build_model(run_cfg)
+    eval_set.check_width(model.input_dim)
     mode = SPARSE_INFER if model.layers[-1].index is not None else DENSE_INFER
 
     batches_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
@@ -201,21 +140,13 @@ def cmd_bench(args) -> int:
             p_at_1, _ = evaluate(model, eval_set, 1, cfg, mode)
             rows.append((seconds, p_at_1))
 
-    try:
-        Trainer(model, cfg).train(dataset, checkpoint_hook=hook)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    Trainer(model, cfg).train(dataset, checkpoint_hook=hook)
 
     lines = ["seconds,p_at_1"] + [f"{s:.3f},{p:.6f}" for s, p in rows]
     out = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out)
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w") as fh:
+            fh.write(out)
     sys.stdout.write(out)
     return 0
 
@@ -273,7 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as e:
+        code = next(c for t, c in EXIT_CODES.items() if isinstance(e, t))
+        print(f"error: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -55,9 +55,6 @@ SCHEMA = {
     "train.inference_sparsity": (float, False, 1.0,
                                  "fraction of output neurons evaluated at inference"),
     "train.seed": (int, False, 0, "RNG seed"),
-    "train.deterministic": (_parse_bool, False, True,
-                            "fixed reduction order; bit-reproducible runs"),
-    "train.workers": (int, False, 1, "parallel forward/backward workers"),
     "train.report_path": (str, False, None, "also write the train report here"),
     "data.train_path": (str, True, None, "training dataset (XC text format)"),
     "data.eval_path": (str, False, None, "evaluation dataset; used by eval/bench"),
@@ -85,8 +82,6 @@ class RunConfig:
             aln_enabled=v["train.aln"],
             inference_sparsity=v["train.inference_sparsity"],
             seed=v["train.seed"],
-            deterministic=v["train.deterministic"],
-            workers=v["train.workers"],
         )
 
     def tune_config(self) -> AutotuneConfig:

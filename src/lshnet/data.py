@@ -57,6 +57,12 @@ class XcDataset:
     def __len__(self):
         return len(self.examples)
 
+    def check_width(self, input_dim: int) -> None:
+        """DataError unless the features fit a model of this input width."""
+        if self.num_features != input_dim:
+            raise DataError(f"dataset feature dim {self.num_features} != model input "
+                            f"dim {input_dim}")
+
 
 def parse_xc(stream, index_base: int = 0) -> XcDataset:
     """Single-pass parse; accepts LF and CRLF line endings."""

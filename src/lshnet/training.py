@@ -1,21 +1,18 @@
 """Batch training loop with lazy Adam, ALN bucket maintenance and sparse inference.
 
-The loop is phased per batch: per-sample forward/backward (parallelizable),
-then one exclusive update. For each layer that update concatenates the
-samples' active ids, marks their sorted union, reduces the batch to one
-weight-gradient GEMM over those rows (deltas x layer inputs) and applies Adam
-to those rows only, in cache-sized chunks of rows. It then flushes queued
-label insertions into the LSH buckets and periodically rebuilds the indexes
-from the drifted weights.
+The loop is phased per batch: per-sample forward/backward, then one update.
+For each layer that update concatenates the samples' active ids, marks their
+sorted union, reduces the batch to one weight-gradient GEMM over those rows
+(deltas x layer inputs) and applies Adam to those rows only, in cache-sized
+chunks of rows. It then flushes queued label insertions into the LSH buckets
+and periodically rebuilds the indexes from the drifted weights.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,10 +32,12 @@ class TrainConfig:
     aln_enabled: bool = False
     inference_sparsity: float = 1.0
     seed: int = 0
-    deterministic: bool = True
-    workers: int = 1
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.rebuild_interval < 1:
             raise ValueError("rebuild_interval must be >= 1")
         if not 0 < self.inference_sparsity <= 1:
@@ -140,16 +139,10 @@ class SparseAdamState:
         st.last_step[rows] = self.t
 
 
-def lazy_adam_update(state: SparseAdamState, model: Model, layer_idx: int,
-                     row: int, grad_w_row, grad_b: float, t: int) -> None:
-    """Single-row form of the lazy update at global step t."""
-    state.t = t
-    state.update_rows(model, layer_idx, np.asarray([row]),
-                      np.asarray(grad_w_row, dtype=np.float64)[None, :],
-                      np.asarray([grad_b], dtype=np.float64))
-
-
-def _validate_labels(model: Model, dataset: XcDataset) -> None:
+def _validate_dataset(model: Model, dataset: XcDataset) -> None:
+    if not dataset.examples:
+        raise DataError("no examples to train on")
+    dataset.check_width(model.input_dim)
     d = model.output_dim
     for i, ex in enumerate(dataset.examples):
         if not ex.labels or ex.labels[0] < 0 or ex.labels[-1] >= d:
@@ -161,18 +154,15 @@ class Trainer:
         self.model = model
         self.cfg = cfg
         self.state = SparseAdamState(model, cfg.lr)
-        self._pool = None
 
     def train(self, dataset: XcDataset,
               checkpoint_hook=None) -> TrainReport:
         """Run the configured number of epochs; checkpoint_hook(epoch, batch,
         seconds) is invoked after each batch when provided (used by bench)."""
         cfg = self.cfg
-        _validate_labels(self.model, dataset)
+        _validate_dataset(self.model, dataset)
         report = TrainReport()
         order_rng = np.random.default_rng(cfg.seed)
-        self._pool = (ThreadPoolExecutor(max_workers=cfg.workers)
-                      if cfg.workers > 1 else None)
         start = time.monotonic()
         batches_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
         batch_counter = 0
@@ -197,34 +187,18 @@ class Trainer:
             report.epochs.append(EpochSummary(
                 epoch, epoch_loss / len(dataset), epoch_hits / len(dataset),
                 time.monotonic() - start))
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         return report
 
     def _run_batch(self, dataset: XcDataset, sample_ids, batch_counter: int):
         cfg = self.cfg
         samples = [dataset.examples[int(i)] for i in sample_ids]
-
-        def one(ex):
-            return self.model.train_step_grads(ex.features, ex.labels)
-
-        if self._pool is not None:
-            if cfg.deterministic:
-                # map() preserves sample order, so worker count cannot change results
-                outcomes = list(self._pool.map(one, samples))
-                pairs = list(zip(samples, outcomes))
-            else:
-                # racy throughput mode: reduce in completion order
-                futs = {self._pool.submit(one, ex): ex for ex in samples}
-                pairs = [(futs[f], f.result()) for f in as_completed(futs)]
-        else:
-            pairs = [(ex, one(ex)) for ex in samples]
-
         total_loss = 0.0
         hits = 0
         aln_queue = []
-        for ex, (loss, results, _grads) in pairs:
+        grads = []
+        for ex in samples:
+            loss, results, sample_grads = self.model.train_step_grads(ex.features, ex.labels)
+            grads.append(sample_grads)
             total_loss += loss
             out = results[-1]
             if out.activations.nnz:
@@ -235,10 +209,9 @@ class Trainer:
 
         n = len(samples)
         self.state.t += 1
-        # fixed sample order keeps the batch reduction deterministic
+        # samples reduce in batch order, so a seed fixes the model bytes
         for li, layer in enumerate(self.model.layers):
-            rows, gw, gb = _batch_gradient([g[li] for _, (_, _, g) in pairs],
-                                           layer.dim, layer.prev_dim)
+            rows, gw, gb = _batch_gradient([g[li] for g in grads], layer.dim, layer.prev_dim)
             if rows.size:
                 self.state.update_rows(self.model, li, rows, gw, gb)
 

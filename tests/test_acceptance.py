@@ -188,7 +188,7 @@ def test_06_determinism():
     for _ in range(2):
         ds, model = _sparse_task()
         cfg = TrainConfig(batch_size=32, epochs=2, lr=0.01, seed=601,
-                          deterministic=True, aln_enabled=True, rebuild_interval=10)
+                          aln_enabled=True, rebuild_interval=10)
         Trainer(model, cfg).train(ds)
         import io
         buf = io.BytesIO()

@@ -1,9 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lshnet.cli import EXIT_DATA, EXIT_IO, build_parser, main
+import lshnet
+from lshnet import cli
+from lshnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, build_parser, main
 from lshnet.data import serialize_xc, synth_clustered
 
 
@@ -238,3 +244,94 @@ def test_help_enumerates_config_keys(capsys):
     out = capsys.readouterr().out
     for key in SCHEMA:
         assert key in out
+
+
+@pytest.mark.parametrize("key,value", [
+    ("train.rebuild_interval", "0"),
+    ("train.batch_size", "0"),
+    ("train.batch_size", "-4"),
+    ("train.epochs", "-1"),
+    ("train.inference_sparsity", "0"),
+])
+def test_bad_train_setting_exit_2(tmp_path, capsys, key, value):
+    data = tmp_path / "train.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    write_dataset(data)
+    write_config(config, data, model, **{key: value})
+    rc = main(["train", str(config)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("content", ["0 16 20\n", "1 24 20\n3 0:1.0\n"],
+                         ids=["empty", "other-width"])
+def test_train_unusable_dataset_exit_3(tmp_path, capsys, content):
+    data = tmp_path / "train.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    data.write_text(content)
+    write_config(config, data, model)
+    rc = main(["train", str(config)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_DATA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eval", "--inference-sparsity", "0"], EXIT_CONFIG),
+    (["eval", "--inference-sparsity", "2"], EXIT_CONFIG),
+    (["predict", "--inference-sparsity", "0"], EXIT_CONFIG),
+    (["predict", "--inference-sparsity", "2"], EXIT_CONFIG),
+    (["eval", "--k", "0"], EXIT_CONFIG),
+    (["predict", "--k", "0"], EXIT_CONFIG),
+    (["predict", "--k", "-1"], EXIT_CONFIG),
+    (["bench"], EXIT_DATA),
+], ids=["eval-sparsity-0", "eval-sparsity-2", "predict-sparsity-0", "predict-sparsity-2",
+        "eval-k-0", "predict-k-0", "predict-k-negative", "bench-eval-other-width"])
+def test_bad_command_argument_exit_code(tmp_path, capsys, argv, code):
+    data = tmp_path / "train.txt"
+    other = tmp_path / "other.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    write_dataset(data)
+    write_dataset(other, feature_dim=24)
+    write_config(config, data, model, **{"train.epochs": "1", "data.eval_path": str(other)})
+    assert main(["train", str(config)]) == 0
+    capsys.readouterr()
+    if argv[0] == "bench":
+        argv = argv + [str(config)]
+    else:
+        argv = argv + ["--model", str(model), "--data", str(data)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == code
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
+
+
+def test_exit_code_reaches_the_shell_without_traceback(tmp_path):
+    data = tmp_path / "train.txt"
+    model = tmp_path / "model.bin"
+    config = tmp_path / "run.cfg"
+    write_dataset(data)
+    write_config(config, data, model, **{"train.batch_size": "0"})
+    src = str(Path(lshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lshnet.cli", "train", str(config)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == "error: batch_size must be >= 1\n"
+    assert not model.exists()
+
+
+def test_exception_outside_the_table_keeps_its_traceback(monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("a bug")
+    monkeypatch.setattr(cli, "autotune", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["autotune", "--dim", "1000", "--prev-dim", "16", "--sparsity", "0.05"])
