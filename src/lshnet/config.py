@@ -120,6 +120,8 @@ def parse_run_config(text: str) -> RunConfig:
     n_layers = len(dims) - 1
     if n_layers < 1:
         raise ConfigError("model.layer_dims needs at least an input and one layer")
+    if min(dims) < 1:
+        raise ConfigError("model.layer_dims entries must be >= 1")
     if len(values["model.sparsities"]) != n_layers:
         raise ConfigError("model.sparsities length must match layer count")
     if len(values["model.activations"]) != n_layers:

@@ -2,7 +2,9 @@
 
 The forward pass only evaluates activations for a small active set of neurons
 chosen by querying the layer's neuron index with the input; the backward pass
-only touches the links of that active set. A dense path (active set = all
+only touches the links of that active set. It takes a delta aligned with the
+active ids and returns a dense input gradient, from which a model picks the
+lower layer's delta at that layer's active ids. A dense path (active set = all
 neurons) doubles as the correctness reference and the dense-inference mode.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from .autotune import AutotuneConfig, AutotunePlan, autotune
 from .errors import ContractError, DimensionError
 from .lsh import NeuronIndex
-from .vectors import SparseVector, sparsify
+from .vectors import SparseVector
 
 IDENTITY = "identity"
 RELU = "relu"
@@ -67,7 +69,7 @@ class LayerGradients:
     input_indices: np.ndarray   # columns of weight_grad within d_prev
     input_values: np.ndarray    # the layer input's values at input_indices
     bias_grad: np.ndarray       # (n_active,); also the delta at each active id
-    input_grad: Optional[SparseVector]  # over d_prev; None when not asked for
+    input_grad: Optional[np.ndarray]  # dense over d_prev; None when not asked for
 
     @property
     def weight_grad(self) -> np.ndarray:
@@ -202,32 +204,29 @@ class SparseLinearLayer:
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, input: SparseVector, activations: SparseVector,
-                 active: ActiveSet, upstream: SparseVector,
+    def backward(self, input: SparseVector, result: ForwardResult, delta: np.ndarray,
                  with_input_grad: bool = True) -> LayerGradients:
-        """Gradients restricted to the active set.
+        """Gradients restricted to the active set of ``result``, this layer's
+        forward result for ``input``.
 
-        For identity/relu the upstream vector is dL/d(activation); for the
-        softmax activation the caller passes the combined softmax-CE gradient
-        with respect to the logits (from softmax_ce_loss_grad). With
-        with_input_grad=False the input gradient is not computed and is None;
-        Model.backward passes that for the first layer, whose input gradient
-        nothing reads.
+        ``delta`` is aligned with ``result.active.ids``: for identity/relu it is
+        dL/d(activation) at each active id; for the softmax activation the
+        caller passes the combined softmax-CE gradient with respect to the
+        logits (from softmax_ce_loss_grad); any other length is a
+        DimensionError. The input gradient is dense over d_prev. With
+        with_input_grad=False it is not computed and is None; Model.backward
+        passes that for the first layer, whose input gradient nothing reads.
         """
-        if upstream.dim != self.dim:
-            raise DimensionError("upstream dim mismatch")
-        pos = active.positions_of(upstream.indices)  # ContractError if outside
-        delta = np.zeros(len(active))
-        delta[pos] = upstream.values
+        active = result.active
+        if np.shape(delta) != (len(active),):
+            raise DimensionError(f"delta shape {np.shape(delta)} != ({len(active)},) active ids")
         if self.activation == RELU:
-            act_at = np.zeros(len(active))
-            act_at[active.positions_of(activations.indices)] = activations.values
-            delta = np.where(act_at > 0, delta, 0.0)
+            delta = np.where(result.activations.values > 0, delta, 0.0)
         # identity and softmax: delta passes through unchanged
 
         input_grad = None
         if with_input_grad:
-            input_grad = sparsify(delta @ self.weights[active.ids])
+            input_grad = delta @ self.weights[active.ids]
         return LayerGradients(
             active_ids=active.ids,
             input_indices=input.indices,

@@ -27,15 +27,6 @@ _MAGIC = b"LSHM"
 _VERSION = 1
 
 
-def restrict(v: SparseVector, ids_sorted: np.ndarray) -> SparseVector:
-    """Drop entries of v whose index is not in the sorted id array."""
-    if v.nnz == 0:
-        return v
-    pos = np.searchsorted(ids_sorted, v.indices)
-    ok = (pos < ids_sorted.size) & (ids_sorted[np.minimum(pos, ids_sorted.size - 1)] == v.indices)
-    return SparseVector(v.dim, v.indices[ok], v.values[ok], _checked=True)
-
-
 class Model:
     def __init__(self, layers: list[SparseLinearLayer]):
         if not layers:
@@ -91,16 +82,13 @@ class Model:
                  output_delta: np.ndarray) -> list[LayerGradients]:
         """Backpropagate from an output-layer delta aligned with its active set."""
         grads: list[Optional[LayerGradients]] = [None] * len(self.layers)
-        out = results[-1]
-        upstream = SparseVector(self.output_dim, out.active.ids, output_delta, _checked=True)
+        delta = output_delta
         for i in range(len(self.layers) - 1, -1, -1):
             layer_input = input if i == 0 else results[i - 1].output
-            g = self.layers[i].backward(layer_input, results[i].activations,
-                                        results[i].active, upstream,
-                                        with_input_grad=i > 0)
+            g = self.layers[i].backward(layer_input, results[i], delta, with_input_grad=i > 0)
             grads[i] = g
             if i > 0:
-                upstream = restrict(g.input_grad, results[i - 1].active.ids)
+                delta = g.input_grad[results[i - 1].active.ids]
         return grads
 
     def train_step_grads(self, input: SparseVector, labels):

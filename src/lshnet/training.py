@@ -38,6 +38,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.rebuild_interval < 1:
             raise ValueError("rebuild_interval must be >= 1")
         if not 0 < self.inference_sparsity <= 1:

@@ -60,7 +60,6 @@ def test_01_dense_sparse_restriction_equivalence():
 
 def test_02_gradient_finite_differences():
     from lshnet.layers import softmax_ce_loss_grad
-    from lshnet.vectors import SparseVector
     h = 1e-4
     worst = 0.0
     for activation in ("identity", "relu", "softmax"):
@@ -76,11 +75,10 @@ def test_02_gradient_finite_differences():
             if activation == "softmax":
                 _, delta = softmax_ce_loss_grad(res.logits, active, labels)
                 c = None
-                upstream = SparseVector(d, active.ids, delta, _checked=True)
             else:
                 c = rng.standard_normal(d)
-                upstream = SparseVector(d, active.ids, c[active.ids], _checked=True)
-            g = layer.backward(x, res.activations, active, upstream)
+                delta = c[active.ids]
+            g = layer.backward(x, res, delta)
 
             def loss():
                 logits = layer.weights @ densify(x) + layer.biases

@@ -252,6 +252,11 @@ def test_help_enumerates_config_keys(capsys):
     ("train.batch_size", "-4"),
     ("train.epochs", "-1"),
     ("train.inference_sparsity", "0"),
+    ("train.lr", "nan"),
+    ("train.lr", "inf"),
+    ("train.lr", "0"),
+    ("train.lr", "-1"),
+    ("model.layer_dims", "16,0"),
 ])
 def test_bad_train_setting_exit_2(tmp_path, capsys, key, value):
     data = tmp_path / "train.txt"

@@ -18,7 +18,7 @@ from lshnet.layers import (
     SparseLinearLayer,
     softmax_ce_loss_grad,
 )
-from lshnet.model import Model, restrict
+from lshnet.model import Model
 from lshnet.vectors import SparseVector, densify, sparsify
 
 
@@ -141,8 +141,7 @@ def test_backward_dead_relu_zero_grads():
     layer = hand_layer(RELU)
     x = sparsify([-1.0, 0.0])  # neuron 0 pre-activation -1
     res = layer.forward(x, DENSE_INFER)
-    upstream = SparseVector.from_pairs(3, [(0, 1.0)])
-    g = layer.backward(x, res.activations, res.active, upstream)
+    g = layer.backward(x, res, np.array([1.0, 0.0, 0.0]))
     assert g.bias_grad[0] == 0.0
     assert np.all(g.weight_grad[0] == 0.0)
 
@@ -152,34 +151,33 @@ def test_backward_single_active_identity():
     layer = SparseLinearLayer(w, np.zeros(1), 1.0, IDENTITY)
     x = sparsify([2.0, -1.0])
     res = layer.forward(x, DENSE_INFER)
-    upstream = SparseVector.from_pairs(1, [(0, 1.0)])
-    g = layer.backward(x, res.activations, res.active, upstream)
+    delta = np.array([1.0])
+    g = layer.backward(x, res, delta)
     assert g.weight_grad.tolist() == [[2.0, -1.0]]
     assert g.bias_grad.tolist() == [1.0]
-    assert densify(g.input_grad).tolist() == [3.0, 4.0]
-    g0 = layer.backward(x, res.activations, res.active, upstream, with_input_grad=False)
+    assert g.input_grad.tolist() == [3.0, 4.0]
+    g0 = layer.backward(x, res, delta, with_input_grad=False)
     assert g0.input_grad is None
     assert g0.bias_grad.tolist() == [1.0]
 
 
-def test_backward_rejects_upstream_outside_active():
+def test_backward_rejects_misaligned_delta():
     layer = random_sparse_layer(200, 16, 0.05, IDENTITY, seed=8)
     x = sparsify(np.random.default_rng(9).standard_normal(16))
     res = layer.forward(x, SPARSE_INFER)
-    outside = int(next(i for i in range(200) if i not in res.active.ids.tolist()))
-    upstream = SparseVector.from_pairs(200, [(outside, 1.0)])
-    with pytest.raises(ContractError):
-        layer.backward(x, res.activations, res.active, upstream)
+    n = len(res.active)
+    assert n < 200
+    for size in (n - 1, n + 1, 200):  # 200: a delta over d, not over the active set
+        with pytest.raises(DimensionError):
+            layer.backward(x, res, np.ones(size))
 
 
 def test_backward_locality():
     layer = random_sparse_layer(300, 16, 0.05, RELU, seed=10)
     x = sparsify(np.random.default_rng(11).standard_normal(16))
     res = layer.forward(x, SPARSE_INFER)
-    upstream = SparseVector(300, res.active.ids,
-                            np.random.default_rng(12).standard_normal(len(res.active)),
-                            _checked=True)
-    g = layer.backward(x, res.activations, res.active, upstream)
+    delta = np.random.default_rng(12).standard_normal(len(res.active))
+    g = layer.backward(x, res, delta)
     assert np.array_equal(g.active_ids, res.active.ids)
     assert g.weight_grad.shape == (len(res.active), x.nnz)
     assert g.bias_grad.shape == (len(res.active),)
@@ -215,11 +213,10 @@ def test_gradients_match_finite_differences(activation):
         if activation == SOFTMAX:
             loss, delta = softmax_ce_loss_grad(res.logits, active, labels)
             upstream_c = None
-            upstream = SparseVector(d, active.ids, delta, _checked=True)
         else:
             upstream_c = rng.standard_normal(d)
-            upstream = SparseVector(d, active.ids, upstream_c[active.ids], _checked=True)
-        g = layer.backward(x, res.activations, active, upstream)
+            delta = upstream_c[active.ids]
+        g = layer.backward(x, res, delta)
 
         def loss_now():
             c = upstream_c[active.ids] if upstream_c is not None else None
@@ -301,12 +298,6 @@ def test_sparse_path_with_s1_equals_dense_bit_for_bit():
     a = layer.forward(x, SPARSE_INFER)
     b = layer.forward(x, DENSE_INFER)
     assert np.array_equal(a.activations.values, b.activations.values)
-
-
-def test_restrict_helper():
-    v = SparseVector.from_pairs(10, [(1, 1.0), (4, 2.0), (7, 3.0)])
-    r = restrict(v, np.array([0, 4, 7, 9]))
-    assert r == SparseVector.from_pairs(10, [(4, 2.0), (7, 3.0)])
 
 
 def test_model_two_layer_train_step():

@@ -340,27 +340,32 @@ def test_batch_gradient_equals_sum_of_per_sample_blocks():
 
 
 def test_relu_output_drops_zeros_and_backward_masks():
-    ds, model = deep_toy(seed=23)
-    hidden, out_layer = model.layers
-    checked = 0
-    for ex in ds.examples[:20]:
-        loss, results, grads = model.train_step_grads(ex.features, ex.labels)
-        h, o = results
-        # the layer's own activations stay aligned with its active set
-        assert np.array_equal(h.activations.indices, h.active.ids)
-        dead = h.activations.values == 0
-        if not dead.any():
-            continue
-        checked += 1
-        assert np.all(h.output.values > 0)
-        assert np.array_equal(h.output.indices, h.activations.indices[~dead])
-        # the output layer read and backpropagated over the positive entries only
-        assert np.array_equal(grads[1].input_indices, h.output.indices)
-        upstream = grads[1].bias_grad @ out_layer.weights[o.active.ids]
-        expected = np.where(h.activations.values > 0, upstream[h.active.ids], 0.0)
-        np.testing.assert_allclose(grads[0].bias_grad, expected, rtol=1e-12, atol=1e-15)
-        assert np.all(grads[0].bias_grad[dead] == 0.0)
-    assert checked > 0
+    ds, dense_hidden = deep_toy(seed=23)
+    # a sampled hidden layer: the hidden delta is picked at a strict subset of ids
+    sparse_hidden = Model.create([64, 200, 400], [0.05, 0.05], [RELU, SOFTMAX], seed=23)
+    for model in (dense_hidden, sparse_hidden):
+        hidden, out_layer = model.layers
+        checked = 0
+        for ex in ds.examples[:20]:
+            loss, results, grads = model.train_step_grads(ex.features, ex.labels)
+            h, o = results
+            if hidden.sparsity < 1:
+                assert len(h.active) < hidden.dim
+            # the layer's own activations stay aligned with its active set
+            assert np.array_equal(h.activations.indices, h.active.ids)
+            dead = h.activations.values == 0
+            if not dead.any():
+                continue
+            checked += 1
+            assert np.all(h.output.values > 0)
+            assert np.array_equal(h.output.indices, h.activations.indices[~dead])
+            # the output layer read and backpropagated over the positive entries only
+            assert np.array_equal(grads[1].input_indices, h.output.indices)
+            upstream = grads[1].bias_grad @ out_layer.weights[o.active.ids]
+            expected = np.where(h.activations.values > 0, upstream[h.active.ids], 0.0)
+            np.testing.assert_array_equal(grads[0].bias_grad, expected)
+            assert np.all(grads[0].bias_grad[dead] == 0.0)
+        assert checked > 0
 
 
 def test_aln_flush_respects_cap():
